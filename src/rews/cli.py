@@ -106,20 +106,8 @@ def _dispatch(args) -> int:
 
     if args.command == "stability":
         circle = stability.circle_from_gains(args.k1, args.k2)
-        verdict = stability.certify(args.gamma, args.beta, args.delay, circle)
-        fr = stability.frequency_response(args.gamma, args.beta, args.delay,
-                                          stability.default_omega_grid())
-        import os
-
-        from . import svgplot
-        os.makedirs(args.out, exist_ok=True)
-        stability.export_nyquist_csv(fr, circle,
-                                     os.path.join(args.out, "nyquist.csv"))
-        stability.export_verdict_json(verdict, circle,
-                                      os.path.join(args.out, "verdict.json"))
-        svgplot.nyquist_chart(os.path.join(args.out, "nyquist.svg"),
-                              fr.g_values.real, fr.g_values.imag,
-                              circle.center, circle.radius)
+        verdict, _ = harness.emit_certificate(args.gamma, args.beta,
+                                              args.delay, circle, args.out)
         print("ConvergenceCertified" if verdict.certified else "NotCertified",
               f"min_distance={verdict.min_distance:.4f}",
               f"argmin_omega={verdict.argmin_omega:.4g}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -46,7 +46,6 @@ class CpCurve:
     lambda_zero: float
     _breaks: list = field(repr=False)
     _coeffs: list = field(repr=False)
-    _pchip: PchipInterpolator = field(repr=False)
 
     @property
     def lambda_min(self) -> float:
@@ -59,7 +58,7 @@ class CpCurve:
     def _check_envelope(self, lam: float) -> None:
         if not (self.lambda_min <= lam <= self.lambda_max):
             raise EnvelopeError(
-                f"tip-speed ratio {lam!r} outside [{self.lambda_min}, {self.lambda_max}]"
+                f"tip-speed ratio {float(lam)} outside [{self.lambda_min}, {self.lambda_max}]"
             )
 
     def _segment(self, lam: float):
@@ -82,16 +81,31 @@ class CpCurve:
         c = self._coeffs[i]
         return (3.0 * c[0] * t + 2.0 * c[1]) * t + c[2]
 
+    def _cp_array(self, lam: np.ndarray, derivative: bool = False) -> np.ndarray:
+        # Vectorised form of _cp_scalar / _cp_prime_scalar: same segment
+        # choice and Horner order, so equal bit for bit; no envelope check.
+        breaks = np.asarray(self._breaks)
+        i = np.clip(np.searchsorted(breaks, lam, side="right") - 1,
+                    0, breaks.size - 2)
+        t = lam - breaks[i]
+        c = np.moveaxis(np.asarray(self._coeffs)[i], -1, 0)
+        if derivative:
+            return (3.0 * c[0] * t + 2.0 * c[1]) * t + c[2]
+        return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+
+    def _checked_array(self, lam) -> np.ndarray:
+        lam = np.asarray(lam, dtype=float)
+        if lam.size and (lam.min() < self.lambda_min or lam.max() > self.lambda_max):
+            raise EnvelopeError("tip-speed ratio array leaves the curve envelope")
+        return lam
+
     def cp(self, lam):
         """Interpolated power coefficient at tip-speed ratio ``lam``."""
         if np.ndim(lam) == 0:
             lam = float(lam)
             self._check_envelope(lam)
             return self._cp_scalar(lam)
-        lam = np.asarray(lam, dtype=float)
-        if lam.size and (lam.min() < self.lambda_min or lam.max() > self.lambda_max):
-            raise EnvelopeError("tip-speed ratio array leaves the curve envelope")
-        return self._pchip(lam)
+        return self._cp_array(self._checked_array(lam))
 
     def cp_prime(self, lam):
         """Derivative dC_p/dlambda of the interpolant."""
@@ -99,10 +113,7 @@ class CpCurve:
             lam = float(lam)
             self._check_envelope(lam)
             return self._cp_prime_scalar(lam)
-        lam = np.asarray(lam, dtype=float)
-        if lam.size and (lam.min() < self.lambda_min or lam.max() > self.lambda_max):
-            raise EnvelopeError("tip-speed ratio array leaves the curve envelope")
-        return self._pchip.derivative()(lam)
+        return self._cp_array(self._checked_array(lam), derivative=True)
 
     def kappa(self, lam):
         """(3/lambda) C_p(lambda) - C_p'(lambda), the monotonicity term."""
@@ -110,8 +121,8 @@ class CpCurve:
             lam = float(lam)
             self._check_envelope(lam)
             return 3.0 / lam * self._cp_scalar(lam) - self._cp_prime_scalar(lam)
-        lam = np.asarray(lam, dtype=float)
-        return 3.0 / lam * self.cp(lam) - self.cp_prime(lam)
+        lam = self._checked_array(lam)
+        return 3.0 / lam * self._cp_array(lam) - self._cp_array(lam, derivative=True)
 
     @property
     def cp_star(self) -> float:
@@ -157,17 +168,18 @@ def _validate_single_peak(pchip: PchipInterpolator, grid: np.ndarray) -> float:
     return float(lam_star)
 
 
-def _find_lambda_zero(curve_kappa, lam_min: float, lam_star: float) -> float:
-    """Largest root of kappa below lambda_star, or lam_min if kappa > 0 there."""
-    dense = np.linspace(lam_min, lam_star, 1001)
-    kv = np.array([curve_kappa(x) for x in dense])
+def _find_lambda_zero(curve: CpCurve, lam_star: float) -> float:
+    """Largest root of kappa below lambda_star, or lambda_min if kappa > 0 there."""
+    dense = np.linspace(curve.lambda_min, lam_star, 1001)
+    kv = curve.kappa(dense)
     # Scan downward from lambda_star for the first sign change.
     for i in range(dense.size - 2, -1, -1):
         if kv[i] <= 0.0 < kv[i + 1]:
-            return float(brentq(curve_kappa, dense[i], dense[i + 1], xtol=_KAPPA_ROOT_TOL))
+            return float(brentq(curve.kappa, dense[i], dense[i + 1],
+                                xtol=_KAPPA_ROOT_TOL))
         if kv[i] == 0.0:
             return float(dense[i])
-    return lam_min
+    return curve.lambda_min
 
 
 def load_cp_curve(pairs) -> CpCurve:
@@ -195,29 +207,16 @@ def load_cp_curve(pairs) -> CpCurve:
     pchip = PchipInterpolator(lam, cp, extrapolate=False)
     lam_star = _validate_single_peak(pchip, lam)
 
-    breaks = [float(x) for x in pchip.x]
-    coeffs = [tuple(float(pchip.c[r, i]) for r in range(4)) for i in range(pchip.c.shape[1])]
-
-    def kap(x: float) -> float:
-        i = bisect_right(breaks, x) - 1
-        i = min(max(i, 0), len(breaks) - 2)
-        t = x - breaks[i]
-        c = coeffs[i]
-        val = ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
-        der = (3.0 * c[0] * t + 2.0 * c[1]) * t + c[2]
-        return 3.0 / x * val - der
-
-    lam_zero = _find_lambda_zero(kap, float(lam[0]), lam_star)
-
-    return CpCurve(
+    curve = CpCurve(
         lambda_grid=lam.copy(),
         cp_values=cp.copy(),
         lambda_star=lam_star,
-        lambda_zero=lam_zero,
-        _breaks=breaks,
-        _coeffs=coeffs,
-        _pchip=pchip,
+        lambda_zero=float(lam[0]),
+        _breaks=[float(x) for x in pchip.x],
+        _coeffs=[tuple(float(pchip.c[r, i]) for r in range(4))
+                 for i in range(pchip.c.shape[1])],
     )
+    return replace(curve, lambda_zero=_find_lambda_zero(curve, lam_star))
 
 
 def read_curve_csv(path) -> CpCurve:

@@ -32,9 +32,6 @@ __all__ = [
     "EstimatorState",
     "init_estimator",
     "step_estimator",
-    "step_iandi",
-    "step_equivalent_p",
-    "step_pi",
     "delayed_feedback",
 ]
 
@@ -57,13 +54,13 @@ class EstimatorConfig:
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family(self.family))
         if self.gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma!r}")
+            raise ConfigError(f"gamma must be positive, got {float(self.gamma)}")
         if self.beta < 0:
-            raise ConfigError(f"beta must be non-negative, got {self.beta!r}")
+            raise ConfigError(f"beta must be non-negative, got {float(self.beta)}")
         if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt!r}")
+            raise ConfigError(f"dt must be positive, got {float(self.dt)}")
         if self.delay_T < 0:
-            raise ConfigError(f"delay must be non-negative, got {self.delay_T!r}")
+            raise ConfigError(f"delay must be non-negative, got {float(self.delay_T)}")
         steps = self.delay_T / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError(
@@ -91,9 +88,9 @@ def init_estimator(config: EstimatorConfig, omega_r0: float,
                    u_guess: float) -> EstimatorState:
     """State whose first emitted estimate equals ``u_guess``."""
     if u_guess <= 0:
-        raise ConfigError(f"initial wind speed guess must be positive, got {u_guess!r}")
+        raise ConfigError(f"initial wind speed guess must be positive, got {float(u_guess)}")
     if omega_r0 <= 0:
-        raise ConfigError(f"initial rotor speed must be positive, got {omega_r0!r}")
+        raise ConfigError(f"initial rotor speed must be positive, got {float(omega_r0)}")
 
     state = EstimatorState()
     if config.family is Family.IANDI:
@@ -132,8 +129,12 @@ def delayed_feedback(state: EstimatorState, sample: float) -> float:
     return delayed
 
 
-def _step(params: TurbineParams, curve: CpCurve, state: EstimatorState,
-          omega_r: float, t_g: float, config: EstimatorConfig):
+def step_estimator(params: TurbineParams, curve: CpCurve, state: EstimatorState,
+                   omega_r: float, t_g: float, config: EstimatorConfig):
+    """One Euler update of any family; returns ``(state, u_hat)``.
+
+    ``u_hat`` is the estimate emitted from the pre-update state.
+    """
     u_out = estimator_output(config, state, omega_r)
     u_fb = delayed_feedback(state, u_out)
     phi_val, clamped = phi_clamped(params, curve, omega_r, u_fb)
@@ -150,29 +151,3 @@ def _step(params: TurbineParams, curve: CpCurve, state: EstimatorState,
             state.integral_eps += dt * (omega_r - state.omega_hat_r)
         state.omega_hat_r += dt * drive
     return state, u_out
-
-
-def step_iandi(params, curve, state, omega_r, t_g, config):
-    """One update of the internal-state form."""
-    if config.family is not Family.IANDI:
-        raise ConfigError("config family is not IANDI")
-    return _step(params, curve, state, omega_r, t_g, config)
-
-
-def step_equivalent_p(params, curve, state, omega_r, t_g, config):
-    """One update of the proportional observer form."""
-    if config.family is not Family.EQUIV_P:
-        raise ConfigError("config family is not EQUIV_P")
-    return _step(params, curve, state, omega_r, t_g, config)
-
-
-def step_pi(params, curve, state, omega_r, t_g, config):
-    """One update of the PI-corrected observer form."""
-    if config.family is not Family.PI:
-        raise ConfigError("config family is not PI")
-    return _step(params, curve, state, omega_r, t_g, config)
-
-
-def step_estimator(params, curve, state, omega_r, t_g, config):
-    """Family-dispatching step; returns ``(state, u_hat)``."""
-    return _step(params, curve, state, omega_r, t_g, config)

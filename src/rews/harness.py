@@ -1,8 +1,13 @@
 """Closed-loop scenarios: plant + quadratic torque law + estimator.
 
-Runs piecewise-constant wind schedules, classifies the resulting
-estimate traces, reproduces the six standard case studies, and emits
-CSV/JSON/SVG artifacts.
+The estimator is a driven observer: the torque law acts on the measured
+rotor speed, so nothing an estimator does feeds back into the plant.
+:func:`run_shared_plant` is the one simulator.  It integrates the plant
+once over a piecewise-constant wind schedule and drives every estimator
+that shares that plant in lockstep; :func:`run_scenario` is its
+one-estimator case.  The module also classifies the resulting estimate
+traces, reproduces the six standard case studies, and emits CSV/JSON/SVG
+artifacts.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "SimTrace",
     "CaseResult",
     "run_scenario",
+    "run_shared_plant",
     "run_case_studies",
     "classify_trace",
     "case_study_circle",
@@ -38,6 +44,7 @@ __all__ = [
     "write_trace_csv",
     "read_trace_csv",
     "emit_outputs",
+    "emit_certificate",
     "CASE_STUDIES",
 ]
 
@@ -113,15 +120,6 @@ class Scenario:
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
 
-    def wind_at(self, t: float) -> float:
-        u = self.wind_profile[0][1]
-        for t_start, value in self.wind_profile:
-            if t_start <= t:
-                u = value
-            else:
-                break
-        return u
-
 
 @dataclass
 class SimTrace:
@@ -146,73 +144,122 @@ class SimTrace:
 def run_scenario(scn: Scenario) -> SimTrace:
     """Co-simulate plant (RK4) and estimator (Euler) on the shared grid.
 
-    Estimator divergence is recorded, not raised: the run stops early
-    only when the estimate exceeds the divergence guard or goes
-    non-finite, and the stop time is kept on the trace.
+    The one-estimator case of :func:`run_shared_plant`.  Estimator
+    divergence is recorded, not raised: the run stops early only when
+    the estimate exceeds the divergence guard or goes non-finite, and
+    the stop time is kept on the trace.
     """
-    params, curve, config = scn.turbine, scn.curve, scn.estimator
-    n = scn.n_steps()
-    dt = scn.dt
-    k_gain = scn.controller_gain
+    return run_shared_plant([scn])[0]
+
+
+def _plant_key(scn: Scenario) -> tuple:
+    """Everything that determines the plant trajectory."""
+    curve = scn.curve
+    return (scn.wind_profile, scn.duration, scn.dt, scn.turbine,
+            curve.lambda_grid.tobytes(), curve.cp_values.tobytes(),
+            scn.controller_gain, scn.initial_omega_r)
+
+
+class _EstimatorRun:
+    """Per-estimator state and record columns inside one plant pass."""
+
+    __slots__ = ("scenario", "config", "state", "has_observer",
+                 "omega_hat", "eps", "u_hat", "clamps", "last")
+
+    def __init__(self, scn: Scenario, n: int):
+        self.scenario = scn
+        self.config = scn.estimator
+        self.state = init_estimator(scn.estimator, scn.initial_omega_r,
+                                    scn.initial_u_guess)
+        self.has_observer = scn.estimator.family is not Family.IANDI
+        self.omega_hat = np.full(n + 1, np.nan)
+        self.eps = np.full(n + 1, np.nan)
+        self.u_hat = np.empty(n + 1)
+        self.clamps = np.zeros(n + 1)
+        self.last = None   # index of the guard trip, None while live
+
+
+def run_shared_plant(scenarios) -> list:
+    """Drive every scenario's estimator from one plant integration.
+
+    All scenarios must share the plant: wind profile, duration, dt,
+    turbine, curve, controller gain and initial rotor speed.  A mismatch
+    raises :class:`ConfigError`.  At each grid step every live estimator
+    is updated from the measured rotor speed, then the plant takes one
+    RK4 step.  An estimator stops when its estimate exceeds the
+    divergence guard or goes non-finite; the plant stops with the last
+    live estimator, so an :class:`EnvelopeError` from the plant
+    propagates only while some estimator is still running.  Each trace
+    equals its solo :func:`run_scenario` bit for bit; the traces of one
+    call share their ``t``, ``u_true``, ``omega_r`` and ``t_g`` arrays.
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        return []
+    first = scenarios[0]
+    key = _plant_key(first)
+    if any(_plant_key(scn) != key for scn in scenarios[1:]):
+        raise ConfigError("scenarios in one plant pass must share wind, "
+                          "duration, dt, turbine, curve, controller gain "
+                          "and initial rotor speed")
+    params, curve = first.turbine, first.curve
+    n = first.n_steps()
+    dt = first.dt
+    k_gain = first.controller_gain
     gear = params.gear_ratio
 
-    # Wind per step, resolved once.
+    # Wind per step: the level of the last segment started by then.
     times = np.arange(n + 1) * dt
-    u_arr = np.empty(n + 1)
-    seg = 0
-    profile = scn.wind_profile
-    for k in range(n + 1):
-        while seg + 1 < len(profile) and profile[seg + 1][0] <= times[k]:
-            seg += 1
-        u_arr[k] = profile[seg][1]
+    starts, levels = zip(*first.wind_profile)
+    u_arr = np.array(levels)[np.searchsorted(starts, times, side="right") - 1]
 
     omega = np.empty(n + 1)
-    omega_hat = np.full(n + 1, np.nan)
-    eps = np.full(n + 1, np.nan)
-    u_hat = np.empty(n + 1)
     t_g = np.empty(n + 1)
-    clamps = np.zeros(n + 1)
-
-    state = init_estimator(config, scn.initial_omega_r, scn.initial_u_guess)
-    w = scn.initial_omega_r
-    has_observer = config.family is not Family.IANDI
-    stopped = False
-    stop_time = None
-    last = n
+    runs = [_EstimatorRun(scn, n) for scn in scenarios]
+    live = runs
+    w = first.initial_omega_r
 
     for k in range(n + 1):
-        u = u_arr[k]
         tg = k_gain * (gear * w) ** 2
         omega[k] = w
         t_g[k] = tg
-        if has_observer:
-            omega_hat[k] = state.omega_hat_r
-            eps[k] = w - state.omega_hat_r
-        state, uh = step_estimator(params, curve, state, w, tg, config)
-        u_hat[k] = uh
-        clamps[k] = state.clamp_count
-        if not math.isfinite(uh) or abs(uh) > DIVERGENCE_GUARD:
-            stopped = True
-            stop_time = times[k]
-            last = k
-            break
+        tripped = False
+        for run in live:
+            state = run.state
+            if run.has_observer:
+                run.omega_hat[k] = state.omega_hat_r
+                run.eps[k] = w - state.omega_hat_r
+            _, uh = step_estimator(params, curve, state, w, tg, run.config)
+            run.u_hat[k] = uh
+            run.clamps[k] = state.clamp_count
+            if not math.isfinite(uh) or abs(uh) > DIVERGENCE_GUARD:
+                run.last = k
+                tripped = True
+        if tripped:
+            live = [run for run in live if run.last is None]
+            if not live:
+                break
         if k < n:
-            w = rk4_plant_step(params, curve, w, tg, u, dt)
+            w = rk4_plant_step(params, curve, w, tg, u_arr[k], dt)
 
-    sl = slice(0, last + 1)
-    return SimTrace(
-        scenario=scn,
-        t=times[sl],
-        u_true=u_arr[sl],
-        omega_r=omega[sl],
-        omega_hat_r=omega_hat[sl],
-        eps=eps[sl],
-        u_hat=u_hat[sl],
-        t_g=t_g[sl],
-        clamp_count=clamps[sl],
-        stopped_early=stopped,
-        stop_time=stop_time,
-    )
+    traces = []
+    for run in runs:
+        stopped = run.last is not None
+        sl = slice(0, (run.last if stopped else n) + 1)
+        traces.append(SimTrace(
+            scenario=run.scenario,
+            t=times[sl],
+            u_true=u_arr[sl],
+            omega_r=omega[sl],
+            omega_hat_r=run.omega_hat[sl],
+            eps=run.eps[sl],
+            u_hat=run.u_hat[sl],
+            t_g=t_g[sl],
+            clamp_count=run.clamps[sl],
+            stopped_early=stopped,
+            stop_time=times[run.last] if stopped else None,
+        ))
+    return traces
 
 
 def _segment_slices(trace: SimTrace):
@@ -341,15 +388,13 @@ class CaseResult:
         }
 
 
-def _evaluate_case(name: str, scn: Scenario, circle: CircleSpec,
-                   keep_traces: dict = None) -> CaseResult:
-    trace = run_scenario(scn)
+def _evaluate_case(name: str, trace: SimTrace, circle: CircleSpec) -> CaseResult:
+    cfg = trace.scenario.estimator
     label = classify_trace(trace)
-    verdict = stability.certify(scn.estimator.gamma, scn.estimator.beta,
-                                scn.estimator.delay_T, circle)
-    result = CaseResult(
+    verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
+    return CaseResult(
         name=name,
-        config=scn.estimator,
+        config=cfg,
         certified=verdict.certified,
         min_distance=verdict.min_distance,
         argmin_omega=verdict.argmin_omega,
@@ -358,29 +403,24 @@ def _evaluate_case(name: str, scn: Scenario, circle: CircleSpec,
         clamp_count=int(trace.clamp_count[-1]),
         stopped_early=trace.stopped_early,
     )
-    if keep_traces is not None:
-        keep_traces[name] = trace
-    return result
 
 
 def run_case_studies(out_dir=None) -> dict:
     """Run the six gain/delay case studies plus the PI-vs-proportional
-    comparison; return a structured report, optionally emitting files."""
-    circle = case_study_circle()
-    traces: dict = {}
+    comparison; return a structured report, optionally emitting files.
 
-    cases = [
-        _evaluate_case(name, make_step_wind_scenario(g, b, t), circle, traces)
-        for name, g, b, t in CASE_STUDIES
-    ]
-    comparison = [
-        _evaluate_case("pi_gamma80", make_step_wind_scenario(80.0, 4.0, 0.3),
-                       circle, traces),
-        _evaluate_case("iandi_gamma80",
-                       make_step_wind_scenario(80.0, 0.0, 0.3,
-                                               family=Family.IANDI),
-                       circle, traces),
-    ]
+    All eight runs share one plant pass."""
+    circle = case_study_circle()
+    scenarios = {name: make_step_wind_scenario(g, b, t)
+                 for name, g, b, t in CASE_STUDIES}
+    scenarios["pi_gamma80"] = make_step_wind_scenario(80.0, 4.0, 0.3)
+    scenarios["iandi_gamma80"] = make_step_wind_scenario(
+        80.0, 0.0, 0.3, family=Family.IANDI)
+    traces = dict(zip(scenarios, run_shared_plant(scenarios.values())))
+    results = [_evaluate_case(name, trace, circle)
+               for name, trace in traces.items()]
+    cases = results[:len(CASE_STUDIES)]
+    comparison = results[len(CASE_STUDIES):]
 
     beta_margin = stability.max_stable_beta(40.0, 0.3, circle)
     delay_margin = stability.max_stable_delay(40.0, 10.0, circle)
@@ -412,10 +452,7 @@ def run_case_studies(out_dir=None) -> dict:
     }
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        emit_outputs(report, out_dir)
         for name, trace in traces.items():
             emit_outputs(trace, os.path.join(out_dir, name), circle=circle)
     return report
@@ -544,19 +581,8 @@ def emit_outputs(obj, out_dir, circle: CircleSpec = None) -> list:
                 default_sector_bounds(scn.turbine, scn.curve,
                                       scn.controller_gain))
         cfg = scn.estimator
-        fr = stability.frequency_response(cfg.gamma, cfg.beta, cfg.delay_T,
-                                          stability.default_omega_grid())
-        verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
-        path = os.path.join(out_dir, "nyquist.csv")
-        stability.export_nyquist_csv(fr, circle, path)
-        written.append(path)
-        path = os.path.join(out_dir, "verdict.json")
-        stability.export_verdict_json(verdict, circle, path)
-        written.append(path)
-        path = os.path.join(out_dir, "nyquist.svg")
-        svgplot.nyquist_chart(path, fr.g_values.real, fr.g_values.imag,
-                              circle.center, circle.radius)
-        written.append(path)
+        written += emit_certificate(cfg.gamma, cfg.beta, cfg.delay_T,
+                                    circle, out_dir)[1]
     elif isinstance(obj, dict):
         path = os.path.join(out_dir, "report.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -566,3 +592,21 @@ def emit_outputs(obj, out_dir, circle: CircleSpec = None) -> list:
     else:
         raise TypeError(f"cannot emit outputs for {type(obj)!r}")
     return written
+
+
+def emit_certificate(gamma: float, beta: float, delay: float,
+                     circle: CircleSpec, out_dir) -> tuple:
+    """Write ``nyquist.csv``, ``verdict.json`` and ``nyquist.svg`` for one
+    configuration; return ``(verdict, written paths)``."""
+    os.makedirs(out_dir, exist_ok=True)
+    fr = stability.frequency_response(gamma, beta, delay,
+                                      stability.default_omega_grid())
+    verdict = stability.certify(gamma, beta, delay, circle)
+    csv_path, json_path, svg_path = (
+        os.path.join(out_dir, name)
+        for name in ("nyquist.csv", "verdict.json", "nyquist.svg"))
+    stability.export_nyquist_csv(fr, circle, csv_path)
+    stability.export_verdict_json(verdict, circle, json_path)
+    svgplot.nyquist_chart(svg_path, fr.g_values.real, fr.g_values.imag,
+                          circle.center, circle.radius)
+    return verdict, [csv_path, json_path, svg_path]

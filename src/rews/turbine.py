@@ -17,16 +17,15 @@ from .exceptions import ConfigError, EnvelopeError
 
 __all__ = [
     "TurbineParams",
-    "PlantState",
     "default_turbine_params",
     "load_params_file",
     "phi",
     "phi_clamped",
     "phi_prime_u",
-    "torque_controller",
     "optimal_torque_gain",
     "steady_state_rotor_speed",
-    "step_plant",
+    "plant_derivative",
+    "rk4_plant_step",
 ]
 
 _REL_TOL = 1e-12
@@ -69,14 +68,6 @@ class TurbineParams:
         )
 
 
-@dataclass(frozen=True)
-class PlantState:
-    """Rotor speed and simulation time."""
-
-    omega_r: float  # rad/s
-    t: float = 0.0  # s
-
-
 def default_turbine_params() -> TurbineParams:
     """5 MW reference-machine constants (publicly documented values)."""
     return TurbineParams(
@@ -110,10 +101,10 @@ def load_params_file(path) -> TurbineParams:
 
 def _check_inputs(params: TurbineParams, omega_r: float, u: float) -> None:
     if u <= 0:
-        raise EnvelopeError(f"wind speed must be positive, got {u!r}")
+        raise EnvelopeError(f"wind speed must be positive, got {float(u)}")
     if omega_r < params.omega_r_min:
         raise EnvelopeError(
-            f"rotor speed {omega_r!r} below the lower bound {params.omega_r_min}"
+            f"rotor speed {float(omega_r)} below the lower bound {params.omega_r_min}"
         )
 
 
@@ -141,7 +132,7 @@ def phi_clamped(params: TurbineParams, curve: CpCurve,
     """
     if omega_r < params.omega_r_min:
         raise EnvelopeError(
-            f"rotor speed {omega_r!r} below the lower bound {params.omega_r_min}"
+            f"rotor speed {float(omega_r)} below the lower bound {params.omega_r_min}"
         )
     u_lo = omega_r * params.rotor_radius / curve.lambda_max
     u_hi = omega_r * params.rotor_radius / curve.lambda_min
@@ -165,15 +156,6 @@ def phi_prime_u(params: TurbineParams, curve: CpCurve,
     lam = omega_r * params.rotor_radius / u
     curve._check_envelope(lam)
     return params.phi_coefficient * params.rotor_radius * u * curve.kappa(lam)
-
-
-def torque_controller(k_opt: float, omega_g: float) -> float:
-    """Quadratic below-rated torque law T_g = K * omega_g^2."""
-    if k_opt <= 0:
-        raise ConfigError(f"controller gain must be positive, got {k_opt!r}")
-    if omega_g <= 0:
-        raise EnvelopeError(f"generator speed must be positive, got {omega_g!r}")
-    return k_opt * omega_g ** 2
 
 
 def optimal_torque_gain(params: TurbineParams, curve: CpCurve) -> float:
@@ -227,16 +209,3 @@ def rk4_plant_step(params: TurbineParams, curve: CpCurve, omega_r: float,
     k3 = plant_derivative(params, curve, omega_r + 0.5 * dt * k2, t_g, u)
     k4 = plant_derivative(params, curve, omega_r + dt * k3, t_g, u)
     return omega_r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step_plant(params: TurbineParams, curve: CpCurve, state: PlantState,
-               t_g: float, u: float, dt: float) -> PlantState:
-    """Advance the plant by one fixed RK4 step."""
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt!r}")
-    omega_new = rk4_plant_step(params, curve, state.omega_r, t_g, u, dt)
-    if omega_new < params.omega_r_min:
-        raise EnvelopeError(
-            f"rotor speed dropped to {omega_new!r}, below {params.omega_r_min}"
-        )
-    return PlantState(omega_r=omega_new, t=state.t + dt)

@@ -40,6 +40,21 @@ def test_cp_exact_at_nodes(sine_curve):
         assert sine_curve.cp(lam) == cp
 
 
+@pytest.mark.parametrize("which", ["curve", "sine_curve"])
+def test_array_queries_equal_scalar_queries_bitwise(which, request):
+    # One C_p evaluator: the array path runs the scalar path's segment
+    # choice and Horner order, so every query agrees bit for bit.
+    curve = request.getfixturevalue(which)
+    rng = np.random.default_rng(3)
+    lam = np.concatenate([rng.uniform(curve.lambda_min, curve.lambda_max, 20000),
+                          curve.lambda_grid])
+    for query in (curve.cp, curve.cp_prime, curve.kappa):
+        values = query(lam)
+        assert np.array_equal(values, [query(float(x)) for x in lam])
+        grid = lam[:20000].reshape(-1, 4)
+        assert np.array_equal(query(grid), values[:20000].reshape(-1, 4))
+
+
 def test_cp_at_maximizer_is_peak(curve):
     lam_star = curve.lambda_star
     dense = np.linspace(curve.lambda_min, curve.lambda_max, 2000)

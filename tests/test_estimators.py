@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from rews.estimators import (EstimatorConfig, Family, delayed_feedback,
-                             estimator_output, init_estimator,
-                             step_equivalent_p, step_estimator, step_iandi,
-                             step_pi)
+                             estimator_output, init_estimator)
 from rews.exceptions import ConfigError
 from rews.harness import make_step_wind_scenario, run_scenario
 
@@ -90,17 +88,6 @@ class TestDelayBuffer:
             assert len(st.delay_buffer) == 30
 
 
-class TestFamilyGuards:
-    def test_step_functions_check_family(self, params, curve):
-        cfg = EstimatorConfig(family=Family.PI, gamma=40.0)
-        st = init_estimator(cfg, 0.6, 8.0)
-        with pytest.raises(ConfigError):
-            step_iandi(params, curve, st, 0.6, 2e4, cfg)
-        with pytest.raises(ConfigError):
-            step_equivalent_p(params, curve, st, 0.6, 2e4, cfg)
-        step_pi(params, curve, st, 0.6, 2e4, cfg)
-
-
 def _run(family, gamma, beta, delay, duration=120.0):
     scn = make_step_wind_scenario(gamma, beta, delay, family=family,
                                   duration=duration,
@@ -146,13 +133,3 @@ class TestSteadyStateOffset:
         assert float(p.u_hat[-1]) == pytest.approx(u_final, abs=1e-3)
         assert float(pi.u_hat[-1]) == pytest.approx(u_final, abs=1e-3)
 
-
-class TestStepDispatch:
-    def test_dispatch_matches_family_step(self, params, curve):
-        cfg = EstimatorConfig(family=Family.IANDI, gamma=40.0)
-        st1 = init_estimator(cfg, 0.6, 8.0)
-        st2 = init_estimator(cfg, 0.6, 8.0)
-        _, u1 = step_estimator(params, curve, st1, 0.6, 2e4, cfg)
-        _, u2 = step_iandi(params, curve, st2, 0.6, 2e4, cfg)
-        assert u1 == u2
-        assert st1.u_hat_internal == st2.u_hat_internal

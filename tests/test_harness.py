@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from rews.estimators import EstimatorConfig, Family
-from rews.exceptions import ConfigError
+from rews.exceptions import ConfigError, EnvelopeError
 from rews.harness import (CASE_STUDIES, Scenario, SimTrace, case_study_circle,
                           classify_trace, emit_outputs,
                           make_step_wind_scenario, read_trace_csv,
-                          run_scenario, scenario_from_json, write_trace_csv)
+                          run_scenario, run_shared_plant, scenario_from_json,
+                          write_trace_csv)
 from rews.stability import certify
 from rews.cli import main as cli_main
 
@@ -60,10 +61,16 @@ class TestScenarioValidation:
 
     def test_wind_at_piecewise_lookup(self):
         scn = _scenario(wind_profile=[(0.0, 5.0), (10.0, 7.0)], duration=30.0)
-        assert scn.wind_at(0.0) == 5.0
-        assert scn.wind_at(9.99) == 5.0
-        assert scn.wind_at(10.0) == 7.0
-        assert scn.wind_at(29.0) == 7.0
+        trace = run_scenario(scn)
+
+        def wind_at(t):
+            k = int(round(t / scn.dt))
+            assert trace.t[k] == pytest.approx(t)
+            return trace.u_true[k]
+        assert wind_at(0.0) == 5.0
+        assert wind_at(9.99) == 5.0
+        assert wind_at(10.0) == 7.0
+        assert wind_at(29.0) == 7.0
 
 
 class TestRunScenario:
@@ -72,6 +79,7 @@ class TestRunScenario:
         trace = run_scenario(scn)
         assert len(trace) == int(round(30.0 / scn.dt)) + 1
         assert trace.t[0] == 0.0
+        assert trace.t[1] == scn.dt
         assert trace.t[-1] == pytest.approx(30.0)
 
     def test_first_estimate_is_the_guess(self):
@@ -95,6 +103,74 @@ class TestRunScenario:
         trace = run_scenario(scn)
         assert np.all(np.isnan(trace.omega_hat_r))
         assert np.all(np.isnan(trace.eps))
+
+
+# An 11 -> 4 m/s step at t = 100 s throws the plant out of the C_p
+# envelope (tip-speed ratio about 20.6) on its first step after the drop.
+_DROP = dict(wind_profile=[(0.0, 11.0), (100.0, 4.0)], duration=150.0)
+
+
+class TestSharedPlant:
+    def test_case_studies_together_equal_solo_runs(self):
+        scenarios = [make_step_wind_scenario(g, b, t)
+                     for _, g, b, t in CASE_STUDIES]
+        scenarios += [make_step_wind_scenario(80.0, 4.0, 0.3),
+                      make_step_wind_scenario(80.0, 0.0, 0.3,
+                                              family=Family.IANDI)]
+        shared = run_shared_plant(scenarios)
+        assert any(tr.stopped_early for tr in shared)
+        for scn, together in zip(scenarios, shared):
+            solo = run_scenario(scn)
+            assert together.scenario is scn
+            assert together.stopped_early == solo.stopped_early
+            assert together.stop_time == solo.stop_time
+            for name in ("t", "u_true", "omega_r", "omega_hat_r", "eps",
+                         "u_hat", "t_g", "clamp_count"):
+                assert np.array_equal(getattr(together, name),
+                                      getattr(solo, name), equal_nan=True), name
+
+    def test_guard_trip_before_the_plant_leaves_the_envelope(self):
+        # The long-delay loop trips the divergence guard at about 98.6 s,
+        # before the drop: the run is recorded, not raised.
+        trace = run_scenario(make_step_wind_scenario(40.0, 10.0, 2.0, **_DROP))
+        assert trace.stopped_early
+        assert trace.stop_time < 100.0
+        assert classify_trace(trace) == "diverged"
+
+    def test_plant_failure_raises_while_an_estimator_is_live(self):
+        tripping = make_step_wind_scenario(40.0, 10.0, 2.0, **_DROP)
+        live = make_step_wind_scenario(40.0, 10.0, 0.3, **_DROP)
+        with pytest.raises(EnvelopeError):
+            run_shared_plant([tripping, live])
+
+    def test_envelope_message_uses_plain_floats(self):
+        with pytest.raises(EnvelopeError) as info:
+            run_scenario(make_step_wind_scenario(40.0, 10.0, 0.3, **_DROP))
+        message = str(info.value)
+        assert "np.float64" not in message
+        assert "tip-speed ratio 20.6" in message
+
+    def test_plant_keys_must_match(self):
+        base = _scenario(duration=10.0)
+        others = [
+            _scenario(duration=10.0, wind_profile=[(0.0, 8.0)]),
+            _scenario(duration=20.0),
+            _scenario(duration=10.0, dt=0.02),
+            _scenario(duration=10.0, u_guess=6.0, gamma=80.0),
+        ]
+        assert len(run_shared_plant([base, others[-1]])) == 2
+        for other in others[:-1]:
+            with pytest.raises(ConfigError, match="share"):
+                run_shared_plant([base, other])
+        with pytest.raises(ConfigError, match="share"):
+            run_shared_plant([base, Scenario(
+                wind_profile=base.wind_profile, duration=base.duration,
+                dt=base.dt, turbine=base.turbine, curve=base.curve,
+                controller_gain=base.controller_gain * 1.01,
+                estimator=base.estimator,
+                initial_omega_r=base.initial_omega_r,
+                initial_u_guess=base.initial_u_guess)])
+        assert run_shared_plant([]) == []
 
 
 class TestClassifier:
@@ -268,6 +344,16 @@ class TestCli:
                          "--delay", "0.3", "--out", str(out2),
                          "--require-certified"]) == 2
         assert (out2 / "verdict.json").exists()
+
+    def test_stability_command_matches_emit_outputs(self, tmp_path):
+        circle = case_study_circle()
+        trace = run_scenario(_scenario(beta=10.0, delay_T=0.3, duration=1.0))
+        emit_outputs(trace, tmp_path / "emit", circle=circle)
+        assert cli_main(["stability", "--gamma", "40", "--beta", "10",
+                         "--delay", "0.3", "--out", str(tmp_path / "cli")]) == 0
+        for name in ("nyquist.csv", "verdict.json", "nyquist.svg"):
+            assert ((tmp_path / "cli" / name).read_bytes()
+                    == (tmp_path / "emit" / name).read_bytes()), name
 
     def test_margins_command(self, capsys):
         assert cli_main(["margins", "--gamma", "40", "--delay", "0.3"]) == 0

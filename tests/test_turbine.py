@@ -1,14 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from rews.exceptions import ConfigError, EnvelopeError
-from rews.turbine import (PlantState, TurbineParams, default_turbine_params,
+from rews.harness import make_step_wind_scenario, run_scenario
+from rews.turbine import (TurbineParams, default_turbine_params,
                           load_params_file, optimal_torque_gain, phi,
                           phi_clamped, phi_prime_u, plant_derivative,
-                          rk4_plant_step, steady_state_rotor_speed, step_plant,
-                          torque_controller)
+                          rk4_plant_step, steady_state_rotor_speed)
 
 
 class TestParams:
@@ -145,14 +146,21 @@ class TestPhiPrime:
 
 class TestController:
     def test_quadratic_law(self):
-        assert torque_controller(2.0, 3.0) == 18.0
-        assert torque_controller(2.0, 6.0) == 4 * torque_controller(2.0, 3.0)
+        # The recorded generator torque is K * omega_g^2 of the measured speed.
+        scn = make_step_wind_scenario(40.0, 10.0, 0.3, duration=20.0,
+                                      wind_profile=[(0.0, 5.0), (10.0, 7.0)])
+        trace = run_scenario(scn)
+        omega_g = scn.turbine.gear_ratio * trace.omega_r
+        assert np.array_equal(trace.t_g, scn.controller_gain * omega_g ** 2)
+        assert trace.omega_r[-1] != trace.omega_r[0]
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(EnvelopeError):
-            torque_controller(2.0, 0.0)
-        with pytest.raises(ConfigError):
-            torque_controller(-1.0, 3.0)
+        scn = make_step_wind_scenario(40.0, 10.0, 0.3, duration=20.0,
+                                      wind_profile=[(0.0, 7.0)])
+        with pytest.raises(ConfigError, match="controller gain"):
+            dataclasses.replace(scn, controller_gain=-1.0)
+        with pytest.raises(ConfigError, match="rotor speed"):
+            dataclasses.replace(scn, initial_omega_r=0.0)
 
     def test_optimal_gain_settles_at_peak_tsr(self, params, curve):
         # Long closed-loop run at constant wind must settle where the
@@ -161,7 +169,7 @@ class TestController:
         u = 8.0
         w = 0.9 * curve.lambda_star * u / params.rotor_radius
         for _ in range(60000):
-            t_g = torque_controller(k_opt, params.gear_ratio * w)
+            t_g = k_opt * (params.gear_ratio * w) ** 2
             w = rk4_plant_step(params, curve, w, t_g, u, 0.01)
         lam = w * params.rotor_radius / u
         assert lam == pytest.approx(curve.lambda_star, abs=1e-6)
@@ -179,20 +187,22 @@ class TestStepPlant:
         omega_r, u = 0.9, 8.0
         t_r = (phi(params, curve, omega_r, u)
                * params.gear_ratio * params.inertia_equivalent)
-        state = PlantState(omega_r=omega_r, t=0.0)
-        new = step_plant(params, curve, state, t_r / params.gear_ratio, u, 0.01)
-        assert new.omega_r == pytest.approx(omega_r, abs=1e-13)
-        assert new.t == 0.01
+        new = rk4_plant_step(params, curve, omega_r, t_r / params.gear_ratio,
+                             u, 0.01)
+        assert new == pytest.approx(omega_r, abs=1e-13)
 
     def test_zero_torque_accelerates(self, params, curve):
         # Positive cp and no generator load: speed strictly increases.
-        state = PlantState(omega_r=0.7, t=0.0)
-        new = step_plant(params, curve, state, 0.0, 8.0, 0.01)
-        assert new.omega_r > state.omega_r
+        assert rk4_plant_step(params, curve, 0.7, 0.0, 8.0, 0.01) > 0.7
 
-    def test_dt_must_be_positive(self, params, curve):
-        with pytest.raises(ConfigError):
-            step_plant(params, curve, PlantState(0.9), 100.0, 8.0, 0.0)
+    def test_dt_must_be_positive(self):
+        scn = make_step_wind_scenario(40.0, 10.0, 0.3, duration=20.0,
+                                      wind_profile=[(0.0, 7.0)])
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            dataclasses.replace(scn, dt=0.0)
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            make_step_wind_scenario(40.0, 10.0, 0.0, duration=20.0, dt=0.0,
+                                    wind_profile=[(0.0, 7.0)])
 
     def test_integration_order_at_least_four(self, params, curve):
         # Step-halving (Richardson) estimate of the local order inside a
