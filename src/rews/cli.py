@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require-certified", action="store_true")
     _circle_args(p)
 
-    p = sub.add_parser("margins", help="bisect the largest certified gain/delay")
+    p = sub.add_parser("margins", help="closed-form first-crossing gain/delay margin")
     p.add_argument("--gamma", type=float, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--delay", type=float,

@@ -425,8 +425,7 @@ def run_case_studies(out_dir=None) -> dict:
     beta_margin = stability.max_stable_beta(40.0, 0.3, circle)
     delay_margin = stability.max_stable_delay(40.0, 10.0, circle)
     case6 = next(c for c in cases if c.name == "case6")
-    # Internal consistency: the margin search must agree with the fixed
-    # delay verdict of case 6 (delay 2 s refused).
+    # The delay margin must agree with case 6 (delay 2 s, refused).
     margin_inconsistent = (delay_margin >= case6.config.delay_T
                            and not case6.certified)
 

@@ -7,6 +7,10 @@ the Nyquist locus of G stays outside the disk whose real-axis diameter
 runs from -1/k1 to -1/k2; numerically this is checked as a minimum
 distance from the disk center exceeding its radius.  The criterion is
 sufficient only: a refusal does not prove divergence.
+
+Margins are first crossings, in closed form on the default grid: the
+largest ``m`` with all of ``[0, m]`` certified.  They raise ConfigError when 0
+is not certified or when no frequency ever enters the disk.
 """
 
 from __future__ import annotations
@@ -45,8 +49,6 @@ _GRID_LO = 1e-3
 _GRID_HI = 1e3
 _GRID_N = 4000
 _MAX_WIDENINGS = 3
-_BISECT_TOL = 1e-3
-_BISECT_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,10 @@ class CircleSpec:
 
     center: float  # real-axis coordinate C = -(k1+k2)/(2 k1 k2)
     radius: float  # R = (k2-k1)/(2 k1 k2)
-    alpha: float   # scaling placing the center at (-1, 0); alpha = -C
+
+    @property
+    def alpha(self) -> float:  # scaling placing the center at (-1, 0)
+        return -self.center
 
     @property
     def k1(self) -> float:
@@ -139,7 +144,7 @@ def circle_from_gains(k1: float, k2: float) -> CircleSpec:
         raise ConfigError(f"need 0 < k1 <= k2, got ({k1!r}, {k2!r})")
     center = -(k2 + k1) / (2.0 * k1 * k2)
     radius = (k2 - k1) / (2.0 * k1 * k2)
-    return CircleSpec(center=center, radius=radius, alpha=-center)
+    return CircleSpec(center=center, radius=radius)
 
 
 def circle_from_sector(bounds: SectorBounds) -> CircleSpec:
@@ -208,51 +213,47 @@ def certify(gamma: float, beta: float, delay_T: float, circle: CircleSpec,
         "distance minimum still at a grid edge after maximum widening")
 
 
-def _bisect_threshold(predicate, hi: float, what: str) -> float:
-    """Largest x in [0, hi] with predicate(x) true, assuming one switch.
-
-    Monotonicity of the certificate is spot-checked on a coarse sample;
-    a non-monotone pattern is reported instead of silently bisected.
-    """
+def _first_crossing(entry, predicate, what: str) -> float:
+    """Least positive ``entry``, backed off 0, 1, 3, 7, ... ulps until certified."""
     if not predicate(0.0):
         raise ConfigError(f"configuration not certified even at {what} = 0")
-    if predicate(hi):
-        raise ConfigError(
-            f"still certified at {what} = {hi}; enlarge the upper bracket")
-
-    samples = np.linspace(0.0, hi, 13)
-    flags = [predicate(x) for x in samples]
-    if sorted(flags, reverse=True) != flags:
-        raise ConfigError(
-            f"certificate is not monotone in {what} on [0, {hi}]; "
-            "refusing to bisect")
-
-    lo = 0.0
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
-            break
-    return lo
+    margin = float(np.min(entry, where=entry > 0.0, initial=np.inf))
+    if margin == np.inf:
+        raise ConfigError(f"configuration certified for every {what}; no finite margin")
+    for k in range(22):  # certify rounds differently; back off <= 2**21 ulps (5e-10)
+        value = float(margin - np.spacing(margin) * (2.0 ** k - 1))
+        if predicate(value):
+            return value
+    raise ConfigError(f"closed-form {what} margin {margin!r} is not certified")
 
 
-def max_stable_beta(gamma: float, delay_T: float, circle: CircleSpec,
-                    beta_hi: float = 100.0) -> float:
-    """Largest integral gain the distance criterion certifies."""
-    return _bisect_threshold(
-        lambda b: certify(gamma, b, delay_T, circle).certified,
-        beta_hi, "beta")
+def max_stable_beta(gamma: float, delay_T: float, circle: CircleSpec) -> float:
+    """Largest ``m`` with every integral gain in ``[0, m]`` certified: with
+    ``G = A + beta*B``, a frequency enters the disk at the smaller positive
+    root of ``|G - C|^2 = R^2``.  Refusals as in the module docstring."""
+    grid = default_omega_grid()
+    b = frequency_response(0.0, 1.0, delay_T, grid).g_values
+    d = frequency_response(gamma, 0.0, delay_T, grid).g_values - circle.center
+    qb = 2.0 * (d * b.conj()).real
+    qc = np.abs(d) ** 2 - circle.radius ** 2
+    with np.errstate(invalid="ignore"):
+        entry = 2.0 * qc / (np.sqrt(qb * qb - 4.0 * np.abs(b) ** 2 * qc) - qb)
+    return _first_crossing(
+        entry, lambda x: certify(gamma, x, delay_T, circle).certified, "beta")
 
 
-def max_stable_delay(gamma: float, beta: float, circle: CircleSpec,
-                     t_hi: float = 10.0) -> float:
-    """Largest loop delay the distance criterion certifies."""
-    return _bisect_threshold(
-        lambda t: certify(gamma, beta, t, circle).certified,
-        t_hi, "delay")
+def max_stable_delay(gamma: float, beta: float, circle: CircleSpec) -> float:
+    """Largest ``m`` with every delay in ``[0, m]`` certified: the delay turns
+    ``G0 = G(jw)|T=0`` by ``-w*T``, and a frequency is in the disk while its
+    phase is in ``[a, 2pi - a]``.  Refusals as in the module docstring."""
+    grid = default_omega_grid()
+    g0 = frequency_response(gamma, beta, 0.0, grid).g_values
+    r, c_abs = np.abs(g0), -circle.center
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.arccos((circle.radius ** 2 - r * r - c_abs ** 2) / (2.0 * r * c_abs))
+    entry = np.mod(np.angle(g0) + a, 2.0 * np.pi) / grid
+    return _first_crossing(
+        entry, lambda x: certify(gamma, beta, x, circle).certified, "delay")
 
 
 def export_nyquist_csv(fr: FrequencyResponse, circle: CircleSpec, path) -> None:

@@ -162,8 +162,47 @@ class TestMargins:
         circle = case_study_circle()
         with pytest.raises(ConfigError, match="not certified"):
             max_stable_beta(100.0, 2.0, circle)  # refused already at beta = 0
-        with pytest.raises(ConfigError, match="enlarge"):
-            max_stable_beta(40.0, 0.3, circle, beta_hi=1.0)
+        # A zero-radius disk (--k1 equal to --k2) is never entered.
+        point = circle_from_gains(0.05, 0.05)
+        with pytest.raises(ConfigError, match="certified for every beta"):
+            max_stable_beta(40.0, 0.3, point)
+        with pytest.raises(ConfigError, match="certified for every delay"):
+            max_stable_delay(40.0, 10.0, point)
+
+    def test_delay_margin_is_first_crossing(self):
+        # Grid aliasing re-certifies windows near T = 2.2 s, so the
+        # certificate is not monotone in the delay for this configuration.
+        circle = case_study_circle()
+        t_max = max_stable_delay(31.3692, 12.1293, circle)
+        assert t_max == pytest.approx(0.353025, abs=1e-6)
+        assert all(certify(31.3692, 12.1293, t, circle).certified
+                   for t in np.linspace(0.0, t_max, 400))
+        assert not certify(31.3692, 12.1293, t_max * (1 + 1e-9), circle).certified
+
+    def test_random_margins_are_tight(self):
+        # Answered queries are certified at the margin and refused just
+        # past it; refused queries are refused already at 0.
+        circle = case_study_circle()
+        rng = np.random.default_rng(11)
+        answered = 0
+        for i in range(200):
+            gamma = rng.uniform(20.0, 120.0)
+            if i % 2:
+                beta = rng.uniform(0.0, 40.0)
+                query = lambda: max_stable_delay(gamma, beta, circle)
+                at = lambda t: certify(gamma, beta, t, circle).certified
+            else:
+                delay = rng.uniform(0.0, 2.0)
+                query = lambda: max_stable_beta(gamma, delay, circle)
+                at = lambda b: certify(gamma, b, delay, circle).certified
+            try:
+                m = query()
+            except ConfigError:
+                assert not at(0.0)
+                continue
+            answered += 1
+            assert at(m) and not at(m * (1 + 1e-9))
+        assert answered >= 50
 
 
 class TestSectorBounds:
