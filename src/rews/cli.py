@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import harness, stability
-from .exceptions import ConfigError, CurveError, EnvelopeError
+from .exceptions import ConfigError, CurveError, EnvelopeError, GridCoverageError
 
 
 def _circle_args(parser):
@@ -69,7 +69,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, CurveError, EnvelopeError, OSError) as exc:
+    except (ConfigError, CurveError, EnvelopeError, GridCoverageError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

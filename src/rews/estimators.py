@@ -30,6 +30,7 @@ __all__ = [
     "Family",
     "EstimatorConfig",
     "EstimatorState",
+    "check_gains",
     "init_estimator",
     "step_estimator",
     "delayed_feedback",
@@ -40,6 +41,16 @@ class Family(enum.Enum):
     IANDI = "iandi"
     EQUIV_P = "p"
     PI = "pi"
+
+
+def check_gains(gamma: float, beta: float, delay_T: float) -> None:
+    """Raise ConfigError unless gamma > 0, beta >= 0 and delay_T >= 0 (NaN fails)."""
+    if not gamma > 0:
+        raise ConfigError(f"gamma must be positive, got {float(gamma)}")
+    if not beta >= 0:
+        raise ConfigError(f"beta must be non-negative, got {float(beta)}")
+    if not delay_T >= 0:
+        raise ConfigError(f"delay must be non-negative, got {float(delay_T)}")
 
 
 @dataclass(frozen=True)
@@ -53,14 +64,12 @@ class EstimatorConfig:
     def __post_init__(self):
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family(self.family))
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {float(self.gamma)}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be non-negative, got {float(self.beta)}")
+        check_gains(self.gamma, self.beta, self.delay_T)
+        if self.beta != 0 and self.family is not Family.PI:
+            raise ConfigError(f"beta is a PI gain; family {self.family.value!r} "
+                              f"takes none, got {float(self.beta)}")
         if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {float(self.dt)}")
-        if self.delay_T < 0:
-            raise ConfigError(f"delay must be non-negative, got {float(self.delay_T)}")
         steps = self.delay_T / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError(
@@ -95,8 +104,8 @@ def init_estimator(config: EstimatorConfig, omega_r0: float,
     state = EstimatorState()
     if config.family is Family.IANDI:
         state.u_hat_internal = u_guess - config.gamma * omega_r0
-    elif config.family is Family.EQUIV_P or config.beta == 0.0:
-        # PI with beta = 0 degenerates to the proportional form.
+    elif config.beta == 0.0:
+        # Proportional form; PI with beta = 0 degenerates to it.
         state.omega_hat_r = omega_r0 - u_guess / config.gamma
         if config.family is Family.PI:
             state.integral_eps = 0.0

@@ -6,8 +6,8 @@ rotor speed, so nothing an estimator does feeds back into the plant.
 once over a piecewise-constant wind schedule and drives every estimator
 that shares that plant in lockstep; :func:`run_scenario` is its
 one-estimator case.  The module also classifies the resulting estimate
-traces, reproduces the six standard case studies, and emits CSV/JSON/SVG
-artifacts.
+traces, reproduces the six standard case studies, and emits the
+CSV/JSON/SVG artifacts through one CSV and one JSON writer.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 from . import stability, svgplot
 from .cp_model import CpCurve, default_cp_curve, read_curve_csv
 from .estimators import EstimatorConfig, Family, init_estimator, step_estimator
-from .exceptions import ConfigError
-from .stability import CircleSpec, circle_from_gains, circle_from_sector
+from .exceptions import ConfigError, CurveError, EnvelopeError
+from .stability import CircleSpec, circle_from_gains
 from .turbine import (TurbineParams, default_turbine_params, load_params_file,
                       optimal_torque_gain, rk4_plant_step,
                       steady_state_rotor_speed)
@@ -32,7 +32,6 @@ from .turbine import (TurbineParams, default_turbine_params, load_params_file,
 __all__ = [
     "Scenario",
     "SimTrace",
-    "CaseResult",
     "run_scenario",
     "run_shared_plant",
     "run_case_studies",
@@ -359,50 +358,25 @@ def make_step_wind_scenario(gamma: float, beta: float, delay_T: float,
     )
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    name: str
-    config: EstimatorConfig
-    certified: bool
-    min_distance: float
-    argmin_omega: float
-    sim_label: str
-    concordant: bool
-    clamp_count: int
-    stopped_early: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "family": self.config.family.value,
-            "gamma": self.config.gamma,
-            "beta": self.config.beta,
-            "delay": self.config.delay_T,
-            "certified": self.certified,
-            "min_distance": self.min_distance,
-            "argmin_omega": self.argmin_omega,
-            "sim_label": self.sim_label,
-            "concordant": self.concordant,
-            "clamp_count": self.clamp_count,
-            "stopped_early": self.stopped_early,
-        }
-
-
-def _evaluate_case(name: str, trace: SimTrace, circle: CircleSpec) -> CaseResult:
+def _case_row(name: str, trace: SimTrace, circle: CircleSpec) -> dict:
+    """One ``report.json`` row: configuration, verdict and simulation label."""
     cfg = trace.scenario.estimator
     label = classify_trace(trace)
     verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
-    return CaseResult(
-        name=name,
-        config=cfg,
-        certified=verdict.certified,
-        min_distance=verdict.min_distance,
-        argmin_omega=verdict.argmin_omega,
-        sim_label=label,
-        concordant=not (verdict.certified and label != "converged"),
-        clamp_count=int(trace.clamp_count[-1]),
-        stopped_early=trace.stopped_early,
-    )
+    return {
+        "name": name,
+        "family": cfg.family.value,
+        "gamma": cfg.gamma,
+        "beta": cfg.beta,
+        "delay": cfg.delay_T,
+        "certified": verdict.certified,
+        "min_distance": verdict.min_distance,
+        "argmin_omega": verdict.argmin_omega,
+        "sim_label": label,
+        "concordant": not (verdict.certified and label != "converged"),
+        "clamp_count": int(trace.clamp_count[-1]),
+        "stopped_early": trace.stopped_early,
+    }
 
 
 def run_case_studies(out_dir=None) -> dict:
@@ -417,17 +391,13 @@ def run_case_studies(out_dir=None) -> dict:
     scenarios["iandi_gamma80"] = make_step_wind_scenario(
         80.0, 0.0, 0.3, family=Family.IANDI)
     traces = dict(zip(scenarios, run_shared_plant(scenarios.values())))
-    results = [_evaluate_case(name, trace, circle)
-               for name, trace in traces.items()]
-    cases = results[:len(CASE_STUDIES)]
-    comparison = results[len(CASE_STUDIES):]
+    rows = [_case_row(name, trace, circle) for name, trace in traces.items()]
 
     beta_margin = stability.max_stable_beta(40.0, 0.3, circle)
     delay_margin = stability.max_stable_delay(40.0, 10.0, circle)
-    case6 = next(c for c in cases if c.name == "case6")
+    case6 = next(row for row in rows if row["name"] == "case6")
     # The delay margin must agree with case 6 (delay 2 s, refused).
-    margin_inconsistent = (delay_margin >= case6.config.delay_T
-                           and not case6.certified)
+    margin_inconsistent = delay_margin >= case6["delay"] and not case6["certified"]
 
     report = {
         "classifier": {
@@ -443,15 +413,16 @@ def run_case_studies(out_dir=None) -> dict:
             "R": circle.radius,
             "alpha": circle.alpha,
         },
-        "cases": [c.as_dict() for c in cases],
-        "gain_comparison": [c.as_dict() for c in comparison],
+        "cases": rows[:len(CASE_STUDIES)],
+        "gain_comparison": rows[len(CASE_STUDIES):],
         "beta_margin": {"gamma": 40.0, "delay": 0.3, "value": beta_margin},
         "delay_margin": {"gamma": 40.0, "beta": 10.0, "value": delay_margin,
                          "inconsistent_with_case6": margin_inconsistent},
     }
 
     if out_dir is not None:
-        emit_outputs(report, out_dir)
+        os.makedirs(out_dir, exist_ok=True)
+        _write_json(os.path.join(out_dir, "report.json"), report)
         for name, trace in traces.items():
             emit_outputs(trace, os.path.join(out_dir, name), circle=circle)
     return report
@@ -464,16 +435,28 @@ _TRACE_COLUMNS = ["t", "u_true", "omega_r", "omega_hat_r", "eps",
                   "u_hat", "t_g", "clamp_count"]
 
 
+def _write_csv(path, header, columns) -> None:
+    """Stream ``repr(float)`` rows of equal-length columns under ``header``;
+    re-reading reproduces the values bit-exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def _write_json(path, obj) -> None:
+    """``obj`` as two-space-indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def write_trace_csv(trace: SimTrace, path) -> None:
     """Full-precision trace CSV; re-reading reproduces the arrays bit-exactly."""
     if len(trace) == 0:
         raise ConfigError("refusing to write an empty trace")
-    cols = [getattr(trace, c) for c in _TRACE_COLUMNS]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRACE_COLUMNS)
-        for row in zip(*cols):
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, _TRACE_COLUMNS, [getattr(trace, c) for c in _TRACE_COLUMNS])
 
 
 def read_trace_csv(path) -> dict:
@@ -491,121 +474,109 @@ def read_trace_csv(path) -> dict:
 
 
 def scenario_from_json(spec: dict) -> Scenario:
-    """Build a scenario from the documented JSON schema."""
+    """Build a scenario from the documented JSON schema.  Missing or ill-typed
+    fields raise ``ConfigError("malformed scenario: ...")``; validation
+    errors (ConfigError, EnvelopeError, CurveError) keep their type."""
     try:
         profile = [(float(t), float(u)) for t, u in spec["wind_profile"]]
         duration = float(spec["duration"])
         dt = float(spec.get("dt", _DEFAULT_DT))
         est = spec["estimator"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scenario: {exc}") from exc
 
-    turbine = spec.get("turbine", "default")
-    if turbine == "default":
-        params = default_turbine_params()
-    elif isinstance(turbine, dict):
-        params = TurbineParams(**turbine)
-    else:
-        params = load_params_file(turbine)
+        turbine = spec.get("turbine", "default")
+        if turbine == "default":
+            params = default_turbine_params()
+        elif isinstance(turbine, dict):
+            params = TurbineParams(**turbine)
+        else:
+            params = load_params_file(os.fspath(turbine))  # open() takes an int as an fd
 
-    curve_spec = spec.get("cp_curve", "default")
-    curve = default_cp_curve() if curve_spec == "default" else read_curve_csv(curve_spec)
+        curve_spec = spec.get("cp_curve", "default")
+        curve = (default_cp_curve() if curve_spec == "default"
+                 else read_curve_csv(os.fspath(curve_spec)))
 
-    gain = spec.get("controller_gain", "optimal")
-    k_opt = optimal_torque_gain(params, curve) if gain == "optimal" else float(gain)
+        gain = spec.get("controller_gain", "optimal")
+        k_opt = optimal_torque_gain(params, curve) if gain == "optimal" else float(gain)
 
-    config = EstimatorConfig(
-        family=Family(est.get("family", "pi")),
-        gamma=float(est["gamma"]),
-        beta=float(est.get("beta", 0.0)),
-        delay_T=float(est.get("delay", 0.0)),
-        dt=dt,
-    )
+        config = EstimatorConfig(
+            family=Family(est.get("family", "pi")),
+            gamma=float(est["gamma"]),
+            beta=float(est.get("beta", 0.0)),
+            delay_T=float(est.get("delay", 0.0)),
+            dt=dt,
+        )
 
-    initial = spec.get("initial", {})
-    omega0 = initial.get("omega_r", "steady")
-    if omega0 == "steady":
-        omega0 = steady_state_rotor_speed(params, curve, k_opt, profile[0][1])
-    u_guess = float(initial.get("u_guess", _DEFAULT_U_GUESS))
+        initial = spec.get("initial", {})
+        omega0 = initial.get("omega_r", "steady")
+        if omega0 == "steady":
+            omega0 = steady_state_rotor_speed(params, curve, k_opt, profile[0][1])
+        u_guess = float(initial.get("u_guess", _DEFAULT_U_GUESS))
 
-    return Scenario(
-        wind_profile=tuple(profile),
-        duration=duration,
-        dt=dt,
-        turbine=params,
-        curve=curve,
-        controller_gain=k_opt,
-        estimator=config,
-        initial_omega_r=float(omega0),
-        initial_u_guess=u_guess,
-    )
+        return Scenario(
+            wind_profile=tuple(profile),
+            duration=duration,
+            dt=dt,
+            turbine=params,
+            curve=curve,
+            controller_gain=k_opt,
+            estimator=config,
+            initial_omega_r=float(omega0),
+            initial_u_guess=u_guess,
+        )
+    except (ConfigError, EnvelopeError, CurveError):
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"malformed scenario: {detail}") from exc
 
 
-def emit_outputs(obj, out_dir, circle: CircleSpec = None) -> list:
-    """Write the artifacts for a trace or a case-study report.
-
-    Traces produce ``trace.csv``, ``timeseries.svg`` and, with the
-    estimator's gains, ``nyquist.csv`` / ``verdict.json`` /
-    ``nyquist.svg``.  Reports produce ``report.json``.  Returns the
-    written paths.
-    """
+def emit_outputs(trace: SimTrace, out_dir, circle: CircleSpec) -> list:
+    """Write ``trace.csv``, ``timeseries.svg``, ``rotor_speed.svg`` and the
+    certificate files of the estimator's gains against ``circle`` (see
+    :func:`emit_certificate`); return the written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if isinstance(obj, SimTrace):
-        if len(obj) == 0:
-            raise ConfigError("refusing to emit an empty trace")
-        scn = obj.scenario
-        path = os.path.join(out_dir, "trace.csv")
-        write_trace_csv(obj, path)
-        written.append(path)
-
-        path = os.path.join(out_dir, "timeseries.svg")
-        series = [("U", obj.u_true), ("U_hat", obj.u_hat)]
-        svgplot.line_chart(path, obj.t, series,
-                           title="Wind speed estimate", xlabel="t [s]",
-                           ylabel="wind speed [m/s]")
-        written.append(path)
-
-        path = os.path.join(out_dir, "rotor_speed.svg")
-        series = [("omega_r", obj.omega_r)]
-        if not np.all(np.isnan(obj.omega_hat_r)):
-            series.append(("omega_hat_r", obj.omega_hat_r))
-        svgplot.line_chart(path, obj.t, series,
-                           title="Rotor speed", xlabel="t [s]",
-                           ylabel="rotor speed [rad/s]")
-        written.append(path)
-
-        if circle is None:
-            circle = circle_from_sector(
-                default_sector_bounds(scn.turbine, scn.curve,
-                                      scn.controller_gain))
-        cfg = scn.estimator
-        written += emit_certificate(cfg.gamma, cfg.beta, cfg.delay_T,
-                                    circle, out_dir)[1]
-    elif isinstance(obj, dict):
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-        written.append(path)
-    else:
-        raise TypeError(f"cannot emit outputs for {type(obj)!r}")
-    return written
+    csv_path, wind_path, speed_path = (
+        os.path.join(out_dir, name)
+        for name in ("trace.csv", "timeseries.svg", "rotor_speed.svg"))
+    write_trace_csv(trace, csv_path)
+    svgplot.line_chart(wind_path, trace.t,
+                       [("U", trace.u_true), ("U_hat", trace.u_hat)],
+                       title="Wind speed estimate", xlabel="t [s]",
+                       ylabel="wind speed [m/s]")
+    series = [("omega_r", trace.omega_r)]
+    if not np.all(np.isnan(trace.omega_hat_r)):
+        series.append(("omega_hat_r", trace.omega_hat_r))
+    svgplot.line_chart(speed_path, trace.t, series,
+                       title="Rotor speed", xlabel="t [s]",
+                       ylabel="rotor speed [rad/s]")
+    cfg = trace.scenario.estimator
+    return [csv_path, wind_path, speed_path] + emit_certificate(
+        cfg.gamma, cfg.beta, cfg.delay_T, circle, out_dir)[1]
 
 
 def emit_certificate(gamma: float, beta: float, delay: float,
                      circle: CircleSpec, out_dir) -> tuple:
     """Write ``nyquist.csv``, ``verdict.json`` and ``nyquist.svg`` for one
     configuration; return ``(verdict, written paths)``."""
-    os.makedirs(out_dir, exist_ok=True)
     fr = stability.frequency_response(gamma, beta, delay,
                                       stability.default_omega_grid())
     verdict = stability.certify(gamma, beta, delay, circle)
+    os.makedirs(out_dir, exist_ok=True)
     csv_path, json_path, svg_path = (
         os.path.join(out_dir, name)
         for name in ("nyquist.csv", "verdict.json", "nyquist.svg"))
-    stability.export_nyquist_csv(fr, circle, csv_path)
-    stability.export_verdict_json(verdict, circle, json_path)
-    svgplot.nyquist_chart(svg_path, fr.g_values.real, fr.g_values.imag,
-                          circle.center, circle.radius)
+    g = fr.g_values
+    _write_csv(csv_path, ["omega", "re", "im", "distance"],
+               [fr.omega_grid, g.real, g.imag, np.abs(g - circle.center)])
+    _write_json(json_path, {
+        "verdict": "ConvergenceCertified" if verdict.certified else "NotCertified",
+        "min_distance": verdict.min_distance,
+        "argmin_omega": verdict.argmin_omega,
+        "k1": circle.k1,
+        "k2": circle.k2,
+        "C": circle.center,
+        "R": circle.radius,
+        "alpha": circle.alpha,
+    })
+    svgplot.nyquist_chart(svg_path, g.real, g.imag, circle.center, circle.radius)
     return verdict, [csv_path, json_path, svg_path]

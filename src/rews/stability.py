@@ -6,7 +6,8 @@ the sector-bounded torque nonlinearity.  Convergence is certified when
 the Nyquist locus of G stays outside the disk whose real-axis diameter
 runs from -1/k1 to -1/k2; numerically this is checked as a minimum
 distance from the disk center exceeding its radius.  The criterion is
-sufficient only: a refusal does not prove divergence.
+sufficient only: a refusal does not prove divergence.  The module is pure
+analysis and does no file I/O; ``harness`` writes its artifacts.
 
 Margins are first crossings, in closed form on the default grid: the
 largest ``m`` with all of ``[0, m]`` certified.  They raise ConfigError when 0
@@ -15,13 +16,12 @@ is not certified or when no frequency ever enters the disk.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cp_model import CpCurve
+from .estimators import check_gains
 from .exceptions import ConfigError, EnvelopeError, GridCoverageError
 from .turbine import TurbineParams, phi
 
@@ -39,8 +39,6 @@ __all__ = [
     "certify",
     "max_stable_beta",
     "max_stable_delay",
-    "export_nyquist_csv",
-    "export_verdict_json",
 ]
 
 # Relative safety margin applied outward to raw sector extrema.
@@ -197,7 +195,9 @@ def distance_criterion(fr: FrequencyResponse,
 
 def certify(gamma: float, beta: float, delay_T: float, circle: CircleSpec,
             omega_grid=None) -> DistanceVerdict:
-    """Distance criterion with automatic grid widening on edge minima."""
+    """Distance criterion with automatic grid widening on edge minima.  Gains
+    no estimator can have raise ConfigError (rules of ``check_gains``)."""
+    check_gains(gamma, beta, delay_T)
     if omega_grid is not None:
         return distance_criterion(
             frequency_response(gamma, beta, delay_T, omega_grid), circle)
@@ -254,30 +254,3 @@ def max_stable_delay(gamma: float, beta: float, circle: CircleSpec) -> float:
     entry = np.mod(np.angle(g0) + a, 2.0 * np.pi) / grid
     return _first_crossing(
         entry, lambda x: certify(gamma, beta, x, circle).certified, "delay")
-
-
-def export_nyquist_csv(fr: FrequencyResponse, circle: CircleSpec, path) -> None:
-    """Write ``omega,re,im,distance`` rows for the evaluated locus."""
-    dist = np.abs(fr.g_values - circle.center)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "re", "im", "distance"])
-        for w, g, d in zip(fr.omega_grid, fr.g_values, dist):
-            writer.writerow([repr(float(w)), repr(float(g.real)),
-                             repr(float(g.imag)), repr(float(d))])
-
-
-def export_verdict_json(verdict: DistanceVerdict, circle: CircleSpec, path) -> None:
-    record = {
-        "verdict": "ConvergenceCertified" if verdict.certified else "NotCertified",
-        "min_distance": verdict.min_distance,
-        "argmin_omega": verdict.argmin_omega,
-        "k1": circle.k1,
-        "k2": circle.k2,
-        "C": circle.center,
-        "R": circle.radius,
-        "alpha": circle.alpha,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")

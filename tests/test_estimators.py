@@ -24,6 +24,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EstimatorConfig(family=Family.PI, gamma=40.0, delay_T=-0.1)
 
+    def test_beta_only_for_pi(self):
+        # Only the PI form has an integral gain; a nonzero beta elsewhere
+        # would be certified for a loop that is never simulated.
+        for family in (Family.IANDI, Family.EQUIV_P):
+            with pytest.raises(ConfigError, match="PI gain"):
+                EstimatorConfig(family=family, gamma=40.0, beta=200.0)
+            assert EstimatorConfig(family=family, gamma=40.0).beta == 0.0
+        assert EstimatorConfig(family=Family.PI, gamma=40.0, beta=200.0).beta == 200.0
+
     def test_delay_must_be_grid_multiple(self):
         with pytest.raises(ConfigError, match="multiple"):
             EstimatorConfig(family=Family.PI, gamma=40.0, delay_T=0.305, dt=0.01)

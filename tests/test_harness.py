@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rews.estimators import EstimatorConfig, Family
-from rews.exceptions import ConfigError, EnvelopeError
-from rews.harness import (CASE_STUDIES, Scenario, SimTrace, case_study_circle,
-                          classify_trace, emit_outputs,
+from rews.exceptions import ConfigError, CurveError, EnvelopeError
+from rews.harness import (CASE_STUDIES, Scenario, SimTrace, _write_json,
+                          case_study_circle, classify_trace, emit_outputs,
                           make_step_wind_scenario, read_trace_csv,
                           run_scenario, run_shared_plant, scenario_from_json,
                           write_trace_csv)
@@ -249,7 +249,7 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             write_trace_csv(empty, tmp_path / "empty.csv")
         with pytest.raises(ConfigError):
-            emit_outputs(empty, tmp_path / "empty")
+            emit_outputs(empty, tmp_path / "empty", circle=case_study_circle())
 
 
 class TestScenarioFromJson:
@@ -282,6 +282,19 @@ class TestScenarioFromJson:
         with pytest.raises(ConfigError, match="malformed"):
             scenario_from_json({"duration": 30.0})
 
+    def test_validation_errors_keep_their_type(self, tmp_path):
+        # Well-formed fields that fail validation are not parsing errors.
+        spec = {"wind_profile": [[0.0, 7.0]], "duration": 30.0,
+                "estimator": {"gamma": 40.0}}
+        with pytest.raises(EnvelopeError, match="torque balance"):
+            scenario_from_json({**spec, "controller_gain": 1e9})
+        bad_curve = tmp_path / "curve.csv"
+        bad_curve.write_text("x,y\n1,2\n")
+        with pytest.raises(CurveError, match="header"):
+            scenario_from_json({**spec, "cp_curve": str(bad_curve)})
+        with pytest.raises(ConfigError, match="t = 0"):
+            scenario_from_json({**spec, "wind_profile": [[1.0, 7.0]]})
+
 
 class TestEmitOutputs:
     def test_trace_artifacts(self, tmp_path):
@@ -297,8 +310,13 @@ class TestEmitOutputs:
         assert verdict["verdict"] in ("ConvergenceCertified", "NotCertified")
 
     def test_report_artifact(self, tmp_path):
-        written = emit_outputs({"cases": []}, tmp_path / "rep")
-        assert json.loads(open(written[0]).read()) == {"cases": []}
+        report = {"cases": [{"name": "case1", "min_distance": 26.437023491820906,
+                             "certified": True}], "value": None}
+        path = tmp_path / "report.json"
+        _write_json(path, report)
+        text = path.read_text()
+        assert text == json.dumps(report, indent=2) + "\n"
+        assert json.loads(text) == report
 
 
 class TestReproducibility:
@@ -360,6 +378,50 @@ class TestCli:
         out = capsys.readouterr().out
         value = float(out.strip().rsplit(" ", 1)[-1])
         assert 12.0 <= value <= 16.0
+
+    @pytest.mark.parametrize("change, message", [
+        ({"estimator": {"family": "pi", "beta": 10.0}},
+         "malformed scenario: missing field 'gamma'"),
+        ({"estimator": {"family": "bogus", "gamma": 40.0}},
+         "malformed scenario: 'bogus' is not a valid Family"),
+        ({"turbine": {"rho": 1.225}}, "malformed scenario: TurbineParams"),
+        ({"initial": {"omega_r": "abc"}},
+         "malformed scenario: could not convert string to float"),
+        ({"estimator": {"family": "p", "gamma": 40.0, "beta": 200.0,
+                        "delay": 0.3}}, "beta is a PI gain"),
+        # open() would take an integer as a file descriptor (0 is stdin).
+        ({"turbine": 0}, "malformed scenario: expected str"),
+        ({"cp_curve": 0}, "malformed scenario: expected str"),
+    ], ids=["missing-gamma", "bad-family", "incomplete-turbine",
+            "bad-initial-speed", "beta-without-pi", "turbine-int",
+            "cp-curve-int"])
+    def test_malformed_scenario_is_a_clean_error(self, tmp_path, capsys,
+                                                 change, message):
+        spec = {"wind_profile": [[0.0, 7.0]], "duration": 10.0,
+                "estimator": {"family": "pi", "gamma": 40.0}}
+        spec.update(change)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        rc = cli_main(["simulate", "--scenario", str(path),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv", [
+        ["margins", "--gamma", "0", "--beta", "0"],
+        ["margins", "--gamma", "-5", "--delay", "0.3"],
+        ["stability", "--gamma", "0"],
+        ["stability", "--gamma", "40", "--delay", "-1"],
+        # Valid gains whose locus never collapses inside the widest grid.
+        ["stability", "--gamma", "1e6"],
+    ], ids=["margins-gamma-0", "margins-gamma-negative", "stability-gamma-0",
+            "stability-delay-negative", "stability-grid-coverage"])
+    def test_impossible_gains_are_a_clean_error(self, tmp_path, capsys, argv):
+        if argv[0] == "stability":
+            argv = argv + ["--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
 
     def test_bad_scenario_file_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

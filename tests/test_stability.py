@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from rews.exceptions import ConfigError, EnvelopeError, GridCoverageError
-from rews.harness import case_study_circle, default_sector_bounds
+from rews.harness import (case_study_circle, default_sector_bounds,
+                          emit_certificate)
 from rews.stability import (CircleSpec, DistanceVerdict, SectorBounds,
                             certify, circle_from_gains, circle_from_sector,
                             compute_sector_bounds, default_omega_grid,
-                            distance_criterion, export_nyquist_csv,
-                            export_verdict_json, frequency_response,
+                            distance_criterion, frequency_response,
                             max_stable_beta, max_stable_delay)
 
 
@@ -96,6 +96,23 @@ class TestVerdicts:
         v = certify(40.0, 10.0, 0.3, case_study_circle())
         assert v.min_distance == pytest.approx(26.44, abs=0.05)
         assert v.min_distance > case_study_circle().radius
+
+    def test_rejects_gains_no_estimator_can_have(self):
+        circle = case_study_circle()
+        for gamma, beta, delay in [(0.0, 0.0, 0.0), (-5.0, 0.0, 0.3),
+                                   (40.0, -1.0, 0.3), (40.0, 10.0, -1.0),
+                                   (math.nan, 10.0, 0.3)]:
+            with pytest.raises(ConfigError):
+                certify(gamma, beta, delay, circle)
+        # The margins inherit the check through their certify(..., 0) call.
+        with pytest.raises(ConfigError, match="gamma"):
+            max_stable_beta(-5.0, 0.3, circle)
+        with pytest.raises(ConfigError, match="gamma"):
+            max_stable_delay(0.0, 0.0, circle)
+        with pytest.raises(ConfigError, match="delay"):
+            max_stable_beta(40.0, -0.3, circle)
+        with pytest.raises(ConfigError, match="beta"):
+            max_stable_delay(40.0, -1.0, circle)
 
     def test_edge_minimum_raises_without_widening(self):
         circle = case_study_circle()
@@ -253,22 +270,32 @@ class TestSectorBounds:
 class TestExports:
     def test_nyquist_csv(self, tmp_path):
         circle = case_study_circle()
-        fr = frequency_response(40.0, 10.0, 0.3, default_omega_grid(n=100))
-        path = tmp_path / "nyquist.csv"
-        export_nyquist_csv(fr, circle, path)
-        lines = path.read_text().strip().splitlines()
+        emit_certificate(40.0, 10.0, 0.3, circle, tmp_path)
+        lines = (tmp_path / "nyquist.csv").read_text().strip().splitlines()
         assert lines[0] == "omega,re,im,distance"
-        assert len(lines) == 101
+        assert len(lines) == default_omega_grid().size + 1
         w, re, im, d = (float(v) for v in lines[1].split(","))
         g = complex(re, im)
         assert d == pytest.approx(abs(g - circle.center), rel=1e-12)
 
+    def test_nyquist_csv_matches_frequency_response(self, tmp_path):
+        circle = case_study_circle()
+        emit_certificate(40.0, 10.0, 0.3, circle, tmp_path)
+        data = np.loadtxt(tmp_path / "nyquist.csv", delimiter=",", skiprows=1)
+        fr = frequency_response(40.0, 10.0, 0.3, default_omega_grid())
+        assert np.array_equal(data[:, 0], fr.omega_grid)
+        assert np.array_equal(data[:, 1], fr.g_values.real)
+        assert np.array_equal(data[:, 2], fr.g_values.imag)
+        assert np.array_equal(data[:, 3], np.abs(fr.g_values - circle.center))
+
     def test_verdict_json(self, tmp_path):
         circle = case_study_circle()
-        verdict = certify(40.0, 10.0, 0.3, circle)
-        path = tmp_path / "verdict.json"
-        export_verdict_json(verdict, circle, path)
-        record = json.loads(path.read_text())
+        verdict, written = emit_certificate(40.0, 10.0, 0.3, circle, tmp_path)
+        assert verdict == certify(40.0, 10.0, 0.3, circle)
+        assert str(tmp_path / "verdict.json") in map(str, written)
+        record = json.loads((tmp_path / "verdict.json").read_text())
+        assert list(record) == ["verdict", "min_distance", "argmin_omega",
+                                "k1", "k2", "C", "R", "alpha"]
         assert record["verdict"] == "ConvergenceCertified"
         assert record["min_distance"] == verdict.min_distance
         assert record["C"] == pytest.approx(-36.513, abs=1e-3)
