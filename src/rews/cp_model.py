@@ -12,6 +12,7 @@ import csv
 import importlib.resources
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -47,11 +48,14 @@ class CpCurve:
     _breaks: list = field(repr=False)
     _coeffs: list = field(repr=False)
 
-    @property
+    # Cached: the envelope checks read these on every simulation step.
+    # The cache lives in the instance __dict__; __eq__ and replace() see
+    # fields only.
+    @cached_property
     def lambda_min(self) -> float:
         return float(self.lambda_grid[0])
 
-    @property
+    @cached_property
     def lambda_max(self) -> float:
         return float(self.lambda_grid[-1])
 
@@ -235,8 +239,9 @@ def write_curve_csv(curve: CpCurve, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "cp"])
-        for lam, cp in zip(curve.lambda_grid, curve.cp_values):
-            writer.writerow([repr(float(lam)), repr(float(cp))])
+        # csv writes a Python float as its repr; tolist() yields Python floats.
+        writer.writerows(
+            np.column_stack((curve.lambda_grid, curve.cp_values)).tolist())
 
 
 def default_cp_curve() -> CpCurve:

@@ -434,15 +434,26 @@ def run_case_studies(out_dir=None) -> dict:
 _TRACE_COLUMNS = ["t", "u_true", "omega_r", "omega_hat_r", "eps",
                   "u_hat", "t_g", "clamp_count"]
 
+# Rows per formatted block: bounds the Python floats alive at once.
+_CSV_CHUNK = 4096
+
 
 def _write_csv(path, header, columns) -> None:
     """Stream ``repr(float)`` rows of equal-length columns under ``header``;
-    re-reading reproduces the values bit-exactly."""
+    re-reading reproduces the values bit-exactly.
+
+    Rows go out ``_CSV_CHUNK`` at a time: ``csv`` writes a Python float
+    as its ``repr``, and ``tolist()`` of a float64 block yields Python
+    floats (a numpy scalar would repr as ``np.float64(...)``)."""
+    n = min(map(len, columns), default=0)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) for v in row])
+        for start in range(0, n, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, n)
+            block = np.column_stack(
+                [np.asarray(c[start:stop], dtype=np.float64) for c in columns])
+            writer.writerows(block.tolist())
 
 
 def _write_json(path, obj) -> None:

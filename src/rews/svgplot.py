@@ -1,4 +1,4 @@
-"""Tiny dependency-free SVG chart writer.
+"""Tiny SVG chart writer on the standard library and numpy.
 
 Only what the simulation reports need: multi-series line charts and a
 Nyquist locus with a forbidden circle.  Output is a self-contained
@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _WIDTH = 720
 _HEIGHT = 480
 _MARGIN = 60
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
-
-
-def _finite(values):
-    return [v for v in values if math.isfinite(v)]
 
 
 def _axis_range(lo, hi):
@@ -100,14 +98,19 @@ class _Canvas:
                 f'font-family="sans-serif" font-size="10">{t:g}</text>')
 
     def polyline(self, xs, ys, color):
-        pts = []
-        for x, y in zip(xs, ys):
-            if math.isfinite(x) and math.isfinite(y):
-                pts.append(f"{self.px(x):.2f},{self.py(y):.2f}")
-        if len(pts) >= 2:
-            self.parts.append(
-                f'<polyline points="{" ".join(pts)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.2"/>')
+        # Whole-array px/py with the same operation order, so every pixel
+        # coordinate is the same double; '%.2f' % v equals f'{v:.2f}'.
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        if np.count_nonzero(keep) < 2:
+            return
+        px = _MARGIN + (xs[keep] - self.x0) / (self.x1 - self.x0) * (_WIDTH - 2 * _MARGIN)
+        py = (_HEIGHT - _MARGIN
+              - (ys[keep] - self.y0) / (self.y1 - self.y0) * (_HEIGHT - 2 * _MARGIN))
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+        self.parts.append(
+            f'<polyline points="{pts}" fill="none" '
+            f'stroke="{color}" stroke-width="1.2"/>')
 
     def circle(self, cx, cy, r, color):
         rx = abs(self.px(cx + r) - self.px(cx))
@@ -133,18 +136,18 @@ class _Canvas:
 
 def line_chart(path, x, series, title="", xlabel="", ylabel=""):
     """Write a line chart; ``series`` is a list of (label, y-values)."""
-    xs = list(x)
-    all_y = []
-    for _, ys in series:
-        all_y.extend(_finite(list(ys)))
-    if not xs or not all_y:
+    xs = np.asarray(x, dtype=float)
+    all_y = np.concatenate(
+        [np.empty(0), *(np.asarray(ys, dtype=float) for _, ys in series)])
+    all_y = all_y[np.isfinite(all_y)]
+    if not xs.size or not all_y.size:
         raise ValueError("nothing to plot")
-    canvas = _Canvas((min(xs), max(xs)), (min(all_y), max(all_y)),
+    canvas = _Canvas((xs.min(), xs.max()), (all_y.min(), all_y.max()),
                      title, xlabel, ylabel)
     labels = []
     for i, (label, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        canvas.polyline(xs, list(ys), color)
+        canvas.polyline(xs, ys, color)
         labels.append((label, color))
     canvas.legend(labels)
     canvas.write(path)
@@ -152,16 +155,16 @@ def line_chart(path, x, series, title="", xlabel="", ylabel=""):
 
 def nyquist_chart(path, re, im, center, radius, title="Nyquist locus"):
     """Locus of G(jw) with the forbidden disk, equal axis scaling."""
-    res, ims = list(re), list(im)
-    xs = _finite(res) + [center - radius, center + radius]
-    ys = _finite(ims) + [-radius, radius]
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    xs = np.append(re[np.isfinite(re)], [center - radius, center + radius])
+    ys = np.append(im[np.isfinite(im)], [-radius, radius])
     # Clip the view to the disk neighborhood; |G| blows up at low frequency.
     span = 6 * radius
-    xs = [max(min(v, center + span), center - span) for v in xs]
-    ys = [max(min(v, span), -span) for v in ys]
-    canvas = _Canvas((min(xs), max(xs)), (min(ys), max(ys)),
+    xs = np.clip(xs, center - span, center + span)
+    ys = np.clip(ys, -span, span)
+    canvas = _Canvas((xs.min(), xs.max()), (ys.min(), ys.max()),
                      title, "Re", "Im", square=True)
     canvas.circle(center, 0.0, radius, "#d62728")
-    canvas.polyline(res, ims, "#1f77b4")
+    canvas.polyline(re, im, "#1f77b4")
     canvas.legend([("G(jω)", "#1f77b4"), ("forbidden disk", "#d62728")])
     canvas.write(path)

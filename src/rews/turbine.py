@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from scipy.optimize import brentq
 
@@ -60,9 +61,10 @@ class TurbineParams:
         elif abs(self.inertia_equivalent - j_eq) > _REL_TOL * j_eq:
             raise ConfigError("inertia_equivalent inconsistent with J_g + J_r / N^2")
 
-    @property
+    @cached_property
     def phi_coefficient(self) -> float:
-        """rho * A / (2 N J), the prefactor of the nonlinearity."""
+        """rho * A / (2 N J), the prefactor of the nonlinearity (computed
+        once: every phi evaluation reads it)."""
         return self.rho * self.swept_area / (
             2.0 * self.gear_ratio * self.inertia_equivalent
         )

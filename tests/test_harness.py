@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from rews.estimators import EstimatorConfig, Family
 from rews.exceptions import ConfigError, CurveError, EnvelopeError
-from rews.harness import (CASE_STUDIES, Scenario, SimTrace, _write_json,
+from rews.harness import (_CSV_CHUNK, CASE_STUDIES, Scenario, SimTrace,
+                          _write_csv, _write_json,
                           case_study_circle, classify_trace, emit_outputs,
                           make_step_wind_scenario, read_trace_csv,
                           run_scenario, run_shared_plant, scenario_from_json,
@@ -232,6 +234,29 @@ class TestSerialization:
                      "u_hat", "t_g", "clamp_count"):
             assert np.array_equal(data[name], getattr(trace, name),
                                   equal_nan=True), name
+
+    @pytest.mark.parametrize("n", [1, _CSV_CHUNK, 2 * _CSV_CHUNK + 7])
+    def test_write_csv_bytes_match_repr_rows(self, tmp_path, n):
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1]
+        rng = np.random.default_rng(n)
+        g = (rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+             + 1j * rng.normal(size=n))
+        columns = [np.resize(special, n),
+                   np.arange(n) - 3,           # integer-valued
+                   g.real,                     # non-contiguous view
+                   rng.normal(size=n)]
+        header = ["special", "count", "re", "normal"]
+        for cols in (columns, columns[1:2]):   # mixed, then integers alone
+            expected = tmp_path / "expected.csv"
+            with open(expected, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header[:len(cols)])
+                for row in zip(*cols):
+                    writer.writerow([repr(float(v)) for v in row])
+            path = tmp_path / "out.csv"
+            _write_csv(path, header[:len(cols)], cols)
+            assert path.read_bytes() == expected.read_bytes()
+            assert path.read_bytes().count(b"\r\n") == n + 1
 
     def test_trace_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
