@@ -12,7 +12,6 @@ import csv
 import importlib.resources
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -48,14 +47,11 @@ class CpCurve:
     _breaks: list = field(repr=False)
     _coeffs: list = field(repr=False)
 
-    # Cached: the envelope checks read these on every simulation step.
-    # The cache lives in the instance __dict__; __eq__ and replace() see
-    # fields only.
-    @cached_property
+    @property
     def lambda_min(self) -> float:
         return float(self.lambda_grid[0])
 
-    @cached_property
+    @property
     def lambda_max(self) -> float:
         return float(self.lambda_grid[-1])
 

@@ -98,15 +98,12 @@ class _Canvas:
                 f'font-family="sans-serif" font-size="10">{t:g}</text>')
 
     def polyline(self, xs, ys, color):
-        # Whole-array px/py with the same operation order, so every pixel
-        # coordinate is the same double; '%.2f' % v equals f'{v:.2f}'.
+        # px/py map whole float arrays; '%.2f' % v equals f'{v:.2f}'.
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)
         if np.count_nonzero(keep) < 2:
             return
-        px = _MARGIN + (xs[keep] - self.x0) / (self.x1 - self.x0) * (_WIDTH - 2 * _MARGIN)
-        py = (_HEIGHT - _MARGIN
-              - (ys[keep] - self.y0) / (self.y1 - self.y0) * (_HEIGHT - 2 * _MARGIN))
+        px, py = self.px(xs[keep]), self.py(ys[keep])
         pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" '
@@ -137,15 +134,19 @@ class _Canvas:
 def line_chart(path, x, series, title="", xlabel="", ylabel=""):
     """Write a line chart; ``series`` is a list of (label, y-values)."""
     xs = np.asarray(x, dtype=float)
-    all_y = np.concatenate(
-        [np.empty(0), *(np.asarray(ys, dtype=float) for _, ys in series)])
+    ys_arrays = [np.asarray(ys, dtype=float) for _, ys in series]
+    for (label, _), ys in zip(series, ys_arrays):
+        if ys.shape != xs.shape:
+            raise ValueError(
+                f"series {label!r} has {ys.size} samples, x has {xs.size}")
+    all_y = np.concatenate([np.empty(0), *ys_arrays])
     all_y = all_y[np.isfinite(all_y)]
     if not xs.size or not all_y.size:
         raise ValueError("nothing to plot")
     canvas = _Canvas((xs.min(), xs.max()), (all_y.min(), all_y.max()),
                      title, xlabel, ylabel)
     labels = []
-    for i, (label, ys) in enumerate(series):
+    for i, ((label, _), ys) in enumerate(zip(series, ys_arrays)):
         color = _COLORS[i % len(_COLORS)]
         canvas.polyline(xs, ys, color)
         labels.append((label, color))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from scipy.optimize import brentq
 
@@ -61,10 +60,9 @@ class TurbineParams:
         elif abs(self.inertia_equivalent - j_eq) > _REL_TOL * j_eq:
             raise ConfigError("inertia_equivalent inconsistent with J_g + J_r / N^2")
 
-    @cached_property
+    @property
     def phi_coefficient(self) -> float:
-        """rho * A / (2 N J), the prefactor of the nonlinearity (computed
-        once: every phi evaluation reads it)."""
+        """rho * A / (2 N J), the prefactor of the nonlinearity."""
         return self.rho * self.swept_area / (
             2.0 * self.gear_ratio * self.inertia_equivalent
         )

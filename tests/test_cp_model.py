@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -179,12 +177,6 @@ def test_csv_round_trip_bit_exact(tmp_path, curve):
     again = read_curve_csv(path)
     assert np.array_equal(again.lambda_grid, curve.lambda_grid)
     assert np.array_equal(again.cp_values, curve.cp_values)
-
-
-def test_cached_envelope_follows_the_grid(sine_curve):
-    assert (sine_curve.lambda_min, sine_curve.lambda_max) == (2.1, 9.9)
-    moved = replace(sine_curve, lambda_grid=sine_curve.lambda_grid * 2.0)
-    assert (moved.lambda_min, moved.lambda_max) == (4.2, 19.8)
 
 
 def test_csv_bad_header_rejected(tmp_path):

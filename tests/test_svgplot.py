@@ -64,6 +64,13 @@ class TestLineChart:
         # The legend still lists both series.
         assert "one" in path.read_text() and "none" in path.read_text()
 
+    def test_series_length_must_match_x(self, tmp_path):
+        path = tmp_path / "a.svg"
+        with pytest.raises(ValueError, match="'short' has 3 samples, x has 4"):
+            svgplot.line_chart(path, np.arange(4.0),
+                               [("ok", np.arange(4.0)), ("short", np.arange(3.0))])
+        assert not path.exists()
+
     def test_points_match_the_scalar_reference(self, tmp_path):
         path = tmp_path / "a.svg"
         x, y = _gappy_series()

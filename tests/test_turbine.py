@@ -33,16 +33,6 @@ class TestParams:
                           inertia_generator=534.116, inertia_rotor=3.9e7,
                           inertia_equivalent=1.0)
 
-    def test_cached_phi_coefficient_leaves_equality_and_replace_alone(self):
-        a, b = default_turbine_params(), default_turbine_params()
-        coeff = a.phi_coefficient
-        assert a == b and coeff == b.phi_coefficient
-        assert coeff == a.rho * a.swept_area / (
-            2.0 * a.gear_ratio * a.inertia_equivalent)
-        denser = dataclasses.replace(a, rho=2 * a.rho)
-        assert denser != a
-        assert denser.phi_coefficient == 2 * coeff
-
     def test_params_file_round_trip(self, tmp_path, params):
         path = tmp_path / "turbine.txt"
         path.write_text(
