@@ -82,10 +82,11 @@ def _dispatch(args) -> int:
         scn = harness.scenario_from_json(spec)
         circle = stability.circle_from_gains(args.k1, args.k2)
         trace = harness.run_scenario(scn)
-        harness.emit_outputs(trace, args.out, circle=circle)
-        label = harness.classify_trace(trace)
+        harness.emit_trace(trace, args.out)
         cfg = scn.estimator
-        verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
+        verdict, _ = harness.emit_certificate(cfg.gamma, cfg.beta, cfg.delay_T,
+                                              circle, args.out)
+        label = harness.classify_trace(trace)
         print(f"simulation: {label}; criterion: "
               f"{'ConvergenceCertified' if verdict.certified else 'NotCertified'} "
               f"(min distance {verdict.min_distance:.3f})")

@@ -23,7 +23,6 @@ __all__ = [
     "CpCurve",
     "load_cp_curve",
     "read_curve_csv",
-    "write_curve_csv",
     "default_cp_curve",
 ]
 
@@ -32,12 +31,13 @@ _LAMBDA_STAR_TOL = 1e-12
 _KAPPA_ROOT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpCurve:
     """Immutable tabulated power coefficient with a C1 interpolant.
 
     Construct via :func:`load_cp_curve`; the constructor assumes the
-    grid already passed validation.
+    grid already passed validation.  Everything but the ``(lambda, cp)``
+    table is derived from it, so equality and the hash go by the table.
     """
 
     lambda_grid: np.ndarray
@@ -46,6 +46,17 @@ class CpCurve:
     lambda_zero: float
     _breaks: list = field(repr=False)
     _coeffs: list = field(repr=False)
+
+    def _table(self) -> tuple:
+        return self.lambda_grid.tobytes(), self.cp_values.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, CpCurve):
+            return NotImplemented
+        return self._table() == other._table()
+
+    def __hash__(self):
+        return hash(self._table())
 
     @property
     def lambda_min(self) -> float:
@@ -228,16 +239,6 @@ def read_curve_csv(path) -> CpCurve:
             raise CurveError(f"{path}: expected header 'lambda,cp'")
         pairs = [(float(row[0]), float(row[1])) for row in reader if row]
     return load_cp_curve(pairs)
-
-
-def write_curve_csv(curve: CpCurve, path) -> None:
-    """Write the tabulated grid back out; round-trips bit-exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "cp"])
-        # csv writes a Python float as its repr; tolist() yields Python floats.
-        writer.writerows(
-            np.column_stack((curve.lambda_grid, curve.cp_values)).tolist())
 
 
 def default_cp_curve() -> CpCurve:

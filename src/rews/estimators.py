@@ -1,26 +1,31 @@
 """Wind speed estimator realizations.
 
-Three interchangeable forms of the torque-balance estimator:
+The estimator is a torque-balance observer of the drivetrain.  Its
+output ``U_hat`` drives the aerodynamic torque model ``phi``; the torque
+balance ``phi/n - T_g/(n J)`` then advances the estimator state by one
+forward-Euler step of the scenario's sample time ``dt``.  Two update
+rules realize it:
 
-* ``IANDI`` -- internal-state form with output map U_hat = U_hat_I + gamma*omega_r
-* ``EQUIV_P`` -- rotor-speed-observer form with proportional correction
-  U_hat = gamma * (omega_r - omega_hat_r); trajectory-equivalent to IANDI
-* ``PI`` -- proportional plus integral correction
-  U_hat = gamma*eps + beta * integral(eps)
+* the observer rule, ``U_hat = gamma*eps + beta*integral(eps)`` with the
+  speed error ``eps = omega_r - omega_hat_r``.  ``PI`` is this rule;
+  ``EQUIV_P`` (proportional correction) is the same rule with beta = 0.
+* the I&I internal-state rule, ``U_hat = U_hat_I + gamma*omega_r``
+  (``IANDI``).  It is algebraically the proportional observer, but it
+  is kept as its own rule so that the equivalence of the two stays a
+  numerical result rather than one true by construction.
 
-All three run at a fixed sample time with forward-Euler state updates.
-An optional pure delay of T seconds sits on the correction output that
-feeds the nonlinearity, emulating loop latency in a digital
-implementation.  A step mutates its state in place and returns it
-together with the emitted estimate; each state belongs to exactly one
-simulation run.
+An optional pure delay of T seconds (a whole number of samples) sits on
+the estimate that feeds ``phi``, emulating loop latency in a digital
+implementation.  A step mutates its state in place and returns the
+emitted estimate; each state belongs to exactly one simulation run.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cp_model import CpCurve
 from .exceptions import ConfigError
@@ -33,7 +38,6 @@ __all__ = [
     "check_gains",
     "init_estimator",
     "step_estimator",
-    "delayed_feedback",
 ]
 
 
@@ -59,7 +63,6 @@ class EstimatorConfig:
     gamma: float          # proportional gain, (m/s)/(rad/s)
     beta: float = 0.0     # integral gain, (m/s)/rad; PI only
     delay_T: float = 0.0  # loop delay, s
-    dt: float = 0.01      # sample time, s
 
     def __post_init__(self):
         if not isinstance(self.family, Family):
@@ -68,95 +71,68 @@ class EstimatorConfig:
         if self.beta != 0 and self.family is not Family.PI:
             raise ConfigError(f"beta is a PI gain; family {self.family.value!r} "
                               f"takes none, got {float(self.beta)}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {float(self.dt)}")
-        steps = self.delay_T / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ConfigError(
-                f"delay {self.delay_T} is not an integer multiple of dt {self.dt}"
-            )
-
-    @property
-    def n_delay(self) -> int:
-        return int(round(self.delay_T / self.dt))
 
 
 @dataclass
 class EstimatorState:
-    """Mutable per-run estimator state; only the configured family's
-    fields are populated."""
+    """Mutable per-run estimator state."""
 
-    u_hat_internal: float = None   # IANDI internal state, m/s
-    omega_hat_r: float = None      # observer rotor speed, rad/s
-    integral_eps: float = None     # accumulated speed error, rad
-    delay_buffer: deque = field(default_factory=deque)
+    dt: float                      # sample time, s
+    delay_line: deque              # estimates of the last T seconds, oldest first
+    u_hat_internal: float = 0.0    # I&I internal state, m/s
+    omega_hat_r: float = math.nan  # observer rotor speed, rad/s; NaN for I&I
+    integral_eps: float = 0.0      # accumulated speed error, rad
     clamp_count: int = 0           # envelope clamps seen on the feedback path
 
 
-def init_estimator(config: EstimatorConfig, omega_r0: float,
-                   u_guess: float) -> EstimatorState:
-    """State whose first emitted estimate equals ``u_guess``."""
-    if u_guess <= 0:
-        raise ConfigError(f"initial wind speed guess must be positive, got {float(u_guess)}")
-    if omega_r0 <= 0:
-        raise ConfigError(f"initial rotor speed must be positive, got {float(omega_r0)}")
+def init_estimator(config: EstimatorConfig, omega_r0: float, u_guess: float,
+                   dt: float) -> EstimatorState:
+    """State on the sample grid ``dt`` whose first emitted estimate equals
+    ``u_guess``; ``config.delay_T`` is taken as a whole number of samples."""
+    if not 0 < u_guess < math.inf:
+        raise ConfigError(f"initial wind speed guess must be positive and finite, "
+                          f"got {float(u_guess)}")
+    if not 0 < omega_r0 < math.inf:
+        raise ConfigError(f"initial rotor speed must be positive and finite, "
+                          f"got {float(omega_r0)}")
 
-    state = EstimatorState()
+    n_delay = int(round(config.delay_T / dt))
+    state = EstimatorState(dt=dt, delay_line=deque([u_guess] * n_delay))
     if config.family is Family.IANDI:
         state.u_hat_internal = u_guess - config.gamma * omega_r0
     elif config.beta == 0.0:
-        # Proportional form; PI with beta = 0 degenerates to it.
         state.omega_hat_r = omega_r0 - u_guess / config.gamma
-        if config.family is Family.PI:
-            state.integral_eps = 0.0
     else:
         state.omega_hat_r = omega_r0
         state.integral_eps = u_guess / config.beta
-
-    state.delay_buffer = deque([u_guess] * config.n_delay, maxlen=config.n_delay or None)
     return state
 
 
-def estimator_output(config: EstimatorConfig, state: EstimatorState,
-                     omega_r: float) -> float:
-    """Current wind speed estimate from the (pre-update) state."""
-    if config.family is Family.IANDI:
-        return state.u_hat_internal + config.gamma * omega_r
-    eps = omega_r - state.omega_hat_r
-    if config.family is Family.PI:
-        return config.gamma * eps + config.beta * state.integral_eps
-    return config.gamma * eps
-
-
-def delayed_feedback(state: EstimatorState, sample: float) -> float:
-    """Push the newest feedback sample, pop the one from T seconds ago."""
-    buf = state.delay_buffer
-    if buf.maxlen is None or buf.maxlen == 0:
-        return sample
-    delayed = buf[0]
-    buf.append(sample)  # maxlen evicts the popped element
-    return delayed
+def _torque_balance(params: TurbineParams, curve: CpCurve, state: EstimatorState,
+                    omega_r: float, t_g: float, u_hat: float) -> float:
+    """Queue ``u_hat`` on the delay line and return the torque balance
+    ``phi/n - T_g/(n J)`` at the estimate that leaves it."""
+    line = state.delay_line
+    line.append(u_hat)
+    phi_val, clamped = phi_clamped(params, curve, omega_r, line.popleft())
+    if clamped:
+        state.clamp_count += 1
+    n = params.gear_ratio
+    return phi_val / n - t_g / (n * params.inertia_equivalent)
 
 
 def step_estimator(params: TurbineParams, curve: CpCurve, state: EstimatorState,
-                   omega_r: float, t_g: float, config: EstimatorConfig):
-    """One Euler update of any family; returns ``(state, u_hat)``.
-
-    ``u_hat`` is the estimate emitted from the pre-update state.
-    """
-    u_out = estimator_output(config, state, omega_r)
-    u_fb = delayed_feedback(state, u_out)
-    phi_val, clamped = phi_clamped(params, curve, omega_r, u_fb)
-    if clamped:
-        state.clamp_count += 1
-
-    n = params.gear_ratio
-    drive = phi_val / n - t_g / (n * params.inertia_equivalent)
-    dt = config.dt
+                   omega_r: float, t_g: float, config: EstimatorConfig) -> float:
+    """One Euler update; returns the estimate emitted from the pre-update state."""
+    dt = state.dt
     if config.family is Family.IANDI:
+        u_hat = state.u_hat_internal + config.gamma * omega_r
+        drive = _torque_balance(params, curve, state, omega_r, t_g, u_hat)
         state.u_hat_internal -= dt * config.gamma * drive
     else:
-        if config.family is Family.PI:
-            state.integral_eps += dt * (omega_r - state.omega_hat_r)
+        eps = omega_r - state.omega_hat_r
+        u_hat = config.gamma * eps + config.beta * state.integral_eps
+        drive = _torque_balance(params, curve, state, omega_r, t_g, u_hat)
+        state.integral_eps += dt * eps
         state.omega_hat_r += dt * drive
-    return state, u_out
+    return u_hat

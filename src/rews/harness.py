@@ -43,6 +43,7 @@ __all__ = [
     "write_trace_csv",
     "read_trace_csv",
     "emit_outputs",
+    "emit_trace",
     "emit_certificate",
     "CASE_STUDIES",
 ]
@@ -101,20 +102,24 @@ class Scenario:
         if profile[0][0] != 0.0:
             raise ConfigError("first wind segment must start at t = 0")
         starts = [t for t, _ in profile]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
+        if not all(a < b for a, b in zip(starts, starts[1:])):
             raise ConfigError("wind segments must be strictly time-ordered")
-        if any(u <= 0 for _, u in profile):
-            raise ConfigError("wind speeds must be positive")
-        if self.duration <= 0 or self.dt <= 0:
-            raise ConfigError("duration and dt must be positive")
+        if not all(0 < u < math.inf for _, u in profile):
+            raise ConfigError("wind speeds must be positive and finite")
+        if not (0 < self.duration < math.inf and 0 < self.dt < math.inf):
+            raise ConfigError("duration and dt must be positive and finite")
+        delay = self.estimator.delay_T
+        steps = delay / self.dt
+        if not (steps < math.inf
+                and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
+            raise ConfigError(f"delay {delay} is not an integer multiple of dt {self.dt}")
         if starts[-1] >= self.duration:
             raise ConfigError("last wind segment starts after the run ends")
-        if abs(self.estimator.dt - self.dt) > 1e-12:
-            raise ConfigError("estimator sample time must match the plant grid")
-        if self.controller_gain <= 0:
-            raise ConfigError("controller gain must be positive")
-        if self.initial_omega_r < self.turbine.omega_r_min:
-            raise ConfigError("initial rotor speed below the lower bound")
+        if not 0 < self.controller_gain < math.inf:
+            raise ConfigError("controller gain must be positive and finite")
+        if not self.turbine.omega_r_min <= self.initial_omega_r < math.inf:
+            raise ConfigError("initial rotor speed must be finite and not "
+                              "below the lower bound")
 
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
@@ -153,26 +158,22 @@ def run_scenario(scn: Scenario) -> SimTrace:
 
 def _plant_key(scn: Scenario) -> tuple:
     """Everything that determines the plant trajectory."""
-    curve = scn.curve
-    return (scn.wind_profile, scn.duration, scn.dt, scn.turbine,
-            curve.lambda_grid.tobytes(), curve.cp_values.tobytes(),
+    return (scn.wind_profile, scn.duration, scn.dt, scn.turbine, scn.curve,
             scn.controller_gain, scn.initial_omega_r)
 
 
 class _EstimatorRun:
     """Per-estimator state and record columns inside one plant pass."""
 
-    __slots__ = ("scenario", "config", "state", "has_observer",
-                 "omega_hat", "eps", "u_hat", "clamps", "last")
+    __slots__ = ("scenario", "config", "state", "omega_hat", "u_hat",
+                 "clamps", "last")
 
     def __init__(self, scn: Scenario, n: int):
         self.scenario = scn
         self.config = scn.estimator
         self.state = init_estimator(scn.estimator, scn.initial_omega_r,
-                                    scn.initial_u_guess)
-        self.has_observer = scn.estimator.family is not Family.IANDI
-        self.omega_hat = np.full(n + 1, np.nan)
-        self.eps = np.full(n + 1, np.nan)
+                                    scn.initial_u_guess, scn.dt)
+        self.omega_hat = np.empty(n + 1)
         self.u_hat = np.empty(n + 1)
         self.clamps = np.zeros(n + 1)
         self.last = None   # index of the guard trip, None while live
@@ -225,10 +226,8 @@ def run_shared_plant(scenarios) -> list:
         tripped = False
         for run in live:
             state = run.state
-            if run.has_observer:
-                run.omega_hat[k] = state.omega_hat_r
-                run.eps[k] = w - state.omega_hat_r
-            _, uh = step_estimator(params, curve, state, w, tg, run.config)
+            run.omega_hat[k] = state.omega_hat_r
+            uh = step_estimator(params, curve, state, w, tg, run.config)
             run.u_hat[k] = uh
             run.clamps[k] = state.clamp_count
             if not math.isfinite(uh) or abs(uh) > DIVERGENCE_GUARD:
@@ -245,13 +244,14 @@ def run_shared_plant(scenarios) -> list:
     for run in runs:
         stopped = run.last is not None
         sl = slice(0, (run.last if stopped else n) + 1)
+        omega_hat = run.omega_hat[sl]
         traces.append(SimTrace(
             scenario=run.scenario,
             t=times[sl],
             u_true=u_arr[sl],
             omega_r=omega[sl],
-            omega_hat_r=run.omega_hat[sl],
-            eps=run.eps[sl],
+            omega_hat_r=omega_hat,
+            eps=omega[sl] - omega_hat,
             u_hat=run.u_hat[sl],
             t_g=t_g[sl],
             clamp_count=run.clamps[sl],
@@ -352,7 +352,7 @@ def make_step_wind_scenario(gamma: float, beta: float, delay_T: float,
         curve=curve,
         controller_gain=k_opt,
         estimator=EstimatorConfig(family=family, gamma=gamma, beta=beta,
-                                  delay_T=delay_T, dt=dt),
+                                  delay_T=delay_T),
         initial_omega_r=omega0,
         initial_u_guess=u_guess,
     )
@@ -514,7 +514,6 @@ def scenario_from_json(spec: dict) -> Scenario:
             gamma=float(est["gamma"]),
             beta=float(est.get("beta", 0.0)),
             delay_T=float(est.get("delay", 0.0)),
-            dt=dt,
         )
 
         initial = spec.get("initial", {})
@@ -542,9 +541,17 @@ def scenario_from_json(spec: dict) -> Scenario:
 
 
 def emit_outputs(trace: SimTrace, out_dir, circle: CircleSpec) -> list:
-    """Write ``trace.csv``, ``timeseries.svg``, ``rotor_speed.svg`` and the
-    certificate files of the estimator's gains against ``circle`` (see
+    """Write the trace files (see :func:`emit_trace`) and the certificate
+    files of the estimator's gains against ``circle`` (see
     :func:`emit_certificate`); return the written paths."""
+    cfg = trace.scenario.estimator
+    return emit_trace(trace, out_dir) + emit_certificate(
+        cfg.gamma, cfg.beta, cfg.delay_T, circle, out_dir)[1]
+
+
+def emit_trace(trace: SimTrace, out_dir) -> list:
+    """Write ``trace.csv``, ``timeseries.svg`` and ``rotor_speed.svg``;
+    return their paths."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path, wind_path, speed_path = (
         os.path.join(out_dir, name)
@@ -560,9 +567,7 @@ def emit_outputs(trace: SimTrace, out_dir, circle: CircleSpec) -> list:
     svgplot.line_chart(speed_path, trace.t, series,
                        title="Rotor speed", xlabel="t [s]",
                        ylabel="rotor speed [rad/s]")
-    cfg = trace.scenario.estimator
-    return [csv_path, wind_path, speed_path] + emit_certificate(
-        cfg.gamma, cfg.beta, cfg.delay_T, circle, out_dir)[1]
+    return [csv_path, wind_path, speed_path]
 
 
 def emit_certificate(gamma: float, beta: float, delay: float,

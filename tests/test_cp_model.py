@@ -1,8 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from rews.cp_model import (default_cp_curve, load_cp_curve, read_curve_csv,
-                           write_curve_csv)
+from rews.cp_model import default_cp_curve, load_cp_curve, read_curve_csv
 from rews.exceptions import CurveError, EnvelopeError
 
 from conftest import sine_cp
@@ -173,10 +174,28 @@ def test_lambda_zero_root_residual(curve):
 
 def test_csv_round_trip_bit_exact(tmp_path, curve):
     path = tmp_path / "curve.csv"
-    write_curve_csv(curve, path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lambda", "cp"])
+        # csv writes a Python float as its repr; tolist() yields Python floats.
+        writer.writerows(
+            np.column_stack((curve.lambda_grid, curve.cp_values)).tolist())
     again = read_curve_csv(path)
     assert np.array_equal(again.lambda_grid, curve.lambda_grid)
     assert np.array_equal(again.cp_values, curve.cp_values)
+    assert again == curve
+
+
+def test_equality_and_hash_go_by_the_table():
+    a, b = default_cp_curve(), default_cp_curve()
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    cp = a.cp_values.copy()
+    cp[3] *= 1.001
+    other = load_cp_curve(zip(a.lambda_grid, cp))
+    assert other != a
+    assert a != "curve"
 
 
 def test_csv_bad_header_rejected(tmp_path):

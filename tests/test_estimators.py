@@ -1,12 +1,27 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from rews.estimators import (EstimatorConfig, Family, delayed_feedback,
-                             estimator_output, init_estimator)
+from rews import estimators
+from rews.cp_model import default_cp_curve
+from rews.estimators import (EstimatorConfig, Family, init_estimator,
+                             step_estimator)
 from rews.exceptions import ConfigError
 from rews.harness import make_step_wind_scenario, run_scenario
+from rews.turbine import default_turbine_params, phi_clamped
+
+DT = 0.01
+
+
+def _steps(cfg, omega_seq, u_guess=8.0):
+    """The state and the estimates emitted over the measured speeds
+    ``omega_seq``, started at the first of them, with no generator torque."""
+    params, curve = default_turbine_params(), default_cp_curve()
+    st = init_estimator(cfg, omega_seq[0], u_guess, DT)
+    return st, [step_estimator(params, curve, st, w, 0.0, cfg)
+                for w in omega_seq]
 
 
 class TestConfig:
@@ -20,8 +35,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EstimatorConfig(family=Family.PI, gamma=40.0, beta=-1.0)
         with pytest.raises(ConfigError):
-            EstimatorConfig(family=Family.PI, gamma=40.0, dt=0.0)
-        with pytest.raises(ConfigError):
             EstimatorConfig(family=Family.PI, gamma=40.0, delay_T=-0.1)
 
     def test_beta_only_for_pi(self):
@@ -33,11 +46,10 @@ class TestConfig:
             assert EstimatorConfig(family=family, gamma=40.0).beta == 0.0
         assert EstimatorConfig(family=Family.PI, gamma=40.0, beta=200.0).beta == 200.0
 
-    def test_delay_must_be_grid_multiple(self):
-        with pytest.raises(ConfigError, match="multiple"):
-            EstimatorConfig(family=Family.PI, gamma=40.0, delay_T=0.305, dt=0.01)
-        cfg = EstimatorConfig(family=Family.PI, gamma=40.0, delay_T=0.3, dt=0.01)
-        assert cfg.n_delay == 30
+    def test_fields_are_what_certify_takes_plus_the_family(self):
+        # The sample time belongs to the scenario, not the estimator.
+        names = [f.name for f in dataclasses.fields(EstimatorConfig)]
+        assert names == ["family", "gamma", "beta", "delay_T"]
 
 
 class TestInit:
@@ -46,55 +58,79 @@ class TestInit:
         for family, beta in [(Family.IANDI, 0.0), (Family.EQUIV_P, 0.0),
                              (Family.PI, 0.0), (Family.PI, 10.0)]:
             cfg = EstimatorConfig(family=family, gamma=40.0, beta=beta)
-            st = init_estimator(cfg, omega0, guess)
-            assert estimator_output(cfg, st, omega0) == pytest.approx(
-                guess, rel=1e-12)
+            _, outs = _steps(cfg, [omega0], u_guess=guess)
+            assert outs[0] == pytest.approx(guess, rel=1e-12)
 
     def test_internal_state_map(self):
         cfg = EstimatorConfig(family=Family.IANDI, gamma=40.0)
-        st = init_estimator(cfg, 0.5, 20.0)
+        st = init_estimator(cfg, 0.5, 20.0, DT)
         # u_hat_internal = guess - gamma * omega_r0, here exactly zero.
         assert st.u_hat_internal == 0.0
-        assert st.omega_hat_r is None
+        assert math.isnan(st.omega_hat_r)
 
     def test_observer_state_map(self):
         cfg = EstimatorConfig(family=Family.PI, gamma=40.0, beta=10.0)
-        st = init_estimator(cfg, 0.5, 8.0)
+        st = init_estimator(cfg, 0.5, 8.0, DT)
         assert st.omega_hat_r == 0.5
         assert st.integral_eps == pytest.approx(0.8)
+        # Without an integral gain the speed error alone carries the guess.
+        p = init_estimator(EstimatorConfig(family=Family.EQUIV_P, gamma=40.0),
+                           0.5, 8.0, DT)
+        assert p.omega_hat_r == 0.5 - 8.0 / 40.0
+        assert p.integral_eps == 0.0
 
     def test_rejects_nonpositive_inputs(self):
         cfg = EstimatorConfig(family=Family.PI, gamma=40.0)
         with pytest.raises(ConfigError):
-            init_estimator(cfg, 0.5, -8.0)
+            init_estimator(cfg, 0.5, -8.0, DT)
         with pytest.raises(ConfigError):
-            init_estimator(cfg, 0.0, 8.0)
+            init_estimator(cfg, 0.0, 8.0, DT)
+
+
+def _feedback_seen(monkeypatch, cfg, omega_seq):
+    """Run ``step_estimator`` over ``omega_seq``; return the emitted
+    estimates and the estimate argument each step passed to ``phi``."""
+    seen = []
+
+    def recording(params, curve, omega_r, u):
+        seen.append(u)
+        return phi_clamped(params, curve, omega_r, u)
+
+    monkeypatch.setattr(estimators, "phi_clamped", recording)
+    st, outs = _steps(cfg, omega_seq)
+    return st, outs, seen
+
+
+# A speed pulse at step 2 makes the emitted estimate jump at step 2.
+_PULSE = [0.6, 0.6, 0.66] + [0.6] * 9
 
 
 class TestDelayBuffer:
-    def test_zero_delay_is_identity(self):
-        cfg = EstimatorConfig(family=Family.PI, gamma=40.0, delay_T=0.0)
-        st = init_estimator(cfg, 0.6, 8.0)
-        assert len(st.delay_buffer) == 0
-        assert delayed_feedback(st, 3.14) == 3.14
+    def test_zero_delay_is_identity(self, monkeypatch):
+        for family in Family:
+            cfg = EstimatorConfig(family=family, gamma=40.0, delay_T=0.0)
+            st, outs, seen = _feedback_seen(monkeypatch, cfg, _PULSE)
+            assert len(st.delay_line) == 0
+            assert seen == outs
 
-    def test_pulse_reappears_after_n_delay_steps(self):
-        cfg = EstimatorConfig(family=Family.PI, gamma=40.0, delay_T=0.05, dt=0.01)
-        st = init_estimator(cfg, 0.6, 8.0)
-        outs = [delayed_feedback(st, 99.0 if k == 0 else 8.0)
-                for k in range(12)]
-        # Buffer preload is the initial guess; the pulse pushed at step 0
-        # must come back out exactly n_delay steps later.
-        assert outs[:5] == [8.0] * 5
-        assert outs[5] == 99.0
-        assert outs[6:] == [8.0] * 6
+    def test_pulse_reappears_after_n_delay_steps(self, monkeypatch):
+        for family in Family:
+            cfg = EstimatorConfig(family=family, gamma=40.0, delay_T=0.05)
+            _, outs, seen = _feedback_seen(monkeypatch, cfg, _PULSE)
+            # The line is preloaded with the initial guess; every estimate
+            # comes back out exactly n = 5 steps after it was emitted.
+            assert seen[:5] == [8.0] * 5
+            assert seen[5:] == outs[:-5]
+            assert seen[2 + 5] == outs[2] != outs[1]
 
     def test_buffer_length_constant(self):
-        cfg = EstimatorConfig(family=Family.PI, gamma=40.0, delay_T=0.3, dt=0.01)
-        st = init_estimator(cfg, 0.6, 8.0)
-        for k in range(100):
-            delayed_feedback(st, float(k))
-            assert len(st.delay_buffer) == 30
+        cfg = EstimatorConfig(family=Family.PI, gamma=40.0, delay_T=0.3)
+        params, curve = default_turbine_params(), default_cp_curve()
+        st = init_estimator(cfg, 0.6, 8.0, DT)
+        assert len(st.delay_line) == 30
+        for _ in range(100):
+            step_estimator(params, curve, st, 0.6, 0.0, cfg)
+            assert len(st.delay_line) == 30
 
 
 def _run(family, gamma, beta, delay, duration=120.0):

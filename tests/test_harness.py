@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from rews.estimators import EstimatorConfig, Family
+from rews import stability
+from rews.estimators import Family, init_estimator
 from rews.exceptions import ConfigError, CurveError, EnvelopeError
 from rews.harness import (_CSV_CHUNK, CASE_STUDIES, Scenario, SimTrace,
                           _write_csv, _write_json,
@@ -50,16 +53,38 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="after the run ends"):
             _scenario(wind_profile=[(0.0, 5.0), (30.0, 7.0)], duration=30.0)
 
-    def test_estimator_grid_must_match(self):
-        scn = _scenario()
-        with pytest.raises(ConfigError, match="sample time"):
-            Scenario(
-                wind_profile=scn.wind_profile, duration=scn.duration,
-                dt=scn.dt, turbine=scn.turbine, curve=scn.curve,
-                controller_gain=scn.controller_gain,
-                estimator=EstimatorConfig(family=Family.PI, gamma=40.0, dt=0.02),
-                initial_omega_r=scn.initial_omega_r,
-                initial_u_guess=scn.initial_u_guess)
+    def test_delay_must_be_grid_multiple(self):
+        with pytest.raises(ConfigError, match="multiple"):
+            _scenario(delay_T=0.305)
+        with pytest.raises(ConfigError, match="multiple"):
+            _scenario(delay_T=0.3, dt=0.04)
+        with pytest.raises(ConfigError, match="multiple"):
+            _scenario(delay_T=math.inf)
+        scn = _scenario(delay_T=0.3, dt=0.01)
+        assert len(init_estimator(scn.estimator, scn.initial_omega_r,
+                                  scn.initial_u_guess, scn.dt).delay_line) == 30
+
+    @pytest.mark.parametrize("overrides", [
+        {"duration": math.nan}, {"duration": math.inf}, {"dt": math.nan},
+        {"dt": math.inf}, {"wind_profile": [(0.0, math.nan)]},
+        {"wind_profile": [(0.0, 5.0), (10.0, math.inf)]},
+        {"wind_profile": [(0.0, 5.0), (math.nan, 7.0)]},
+        {"controller_gain": math.nan}, {"initial_omega_r": math.nan},
+        {"initial_u_guess": math.nan}, {"initial_u_guess": math.inf},
+    ], ids=["duration-nan", "duration-inf", "dt-nan", "dt-inf", "wind-nan",
+            "wind-inf", "start-nan", "gain-nan", "omega-nan", "guess-nan",
+            "guess-inf"])
+    def test_non_finite_numbers_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            run_scenario(dataclasses.replace(_scenario(), **overrides))
+
+    def test_scenarios_compare_and_hash(self):
+        a = make_step_wind_scenario(40, 10, 0.3)
+        b = make_step_wind_scenario(40, 10, 0.3)
+        assert a.curve is not b.curve
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != make_step_wind_scenario(40, 10, 0.6)
 
     def test_wind_at_piecewise_lookup(self):
         scn = _scenario(wind_profile=[(0.0, 5.0), (10.0, 7.0)], duration=30.0)
@@ -287,7 +312,7 @@ class TestScenarioFromJson:
         })
         assert scn.dt == 0.01
         assert scn.estimator.gamma == 40.0
-        assert scn.estimator.n_delay == 30
+        assert scn.estimator.delay_T == 0.3
         # "steady" initial speed puts the plant at the peak tip-speed ratio.
         lam0 = scn.initial_omega_r * scn.turbine.rotor_radius / 5.0
         assert lam0 == pytest.approx(scn.curve.lambda_star, rel=1e-9)
@@ -376,6 +401,46 @@ class TestCli:
         assert rc == 0
         assert (out / "trace.csv").exists()
         assert "ConvergenceCertified" in capsys.readouterr().out
+
+    def test_simulate_certifies_once(self, tmp_path, capsys, monkeypatch):
+        spec = {"wind_profile": [[0.0, 7.0]], "duration": 5.0,
+                "estimator": {"family": "pi", "gamma": 40.0, "beta": 10.0,
+                              "delay": 0.3}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        verdict = certify(40.0, 10.0, 0.3, case_study_circle())
+        label = classify_trace(run_scenario(scenario_from_json(spec)))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return certify(*args)
+
+        monkeypatch.setattr(stability, "certify", counting)
+        assert cli_main(["simulate", "--scenario", str(path),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == (
+            f"simulation: {label}; criterion: ConvergenceCertified "
+            f"(min distance {verdict.min_distance:.3f})\n")
+        assert json.loads((tmp_path / "o" / "verdict.json").read_text())[
+            "min_distance"] == verdict.min_distance
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_non_finite_scenario_is_a_clean_error(self, tmp_path, capsys,
+                                                  duration):
+        spec = {"wind_profile": [[0.0, 7.0]], "duration": duration,
+                "estimator": {"family": "pi", "gamma": 40.0}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))   # writes NaN / Infinity literals
+        rc = cli_main(["simulate", "--scenario", str(path),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_stability_command_exit_codes(self, tmp_path):
         out = tmp_path / "ok"
