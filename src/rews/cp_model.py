@@ -58,13 +58,14 @@ class CpCurve:
     def __hash__(self):
         return hash(self._table())
 
+    # The interpolant's breaks are the grid as Python floats.
     @property
     def lambda_min(self) -> float:
-        return float(self.lambda_grid[0])
+        return self._breaks[0]
 
     @property
     def lambda_max(self) -> float:
-        return float(self.lambda_grid[-1])
+        return self._breaks[-1]
 
     def _check_envelope(self, lam: float) -> None:
         if not (self.lambda_min <= lam <= self.lambda_max):
@@ -82,10 +83,17 @@ class CpCurve:
         return i, lam - self._breaks[i]
 
     def _cp_scalar(self, lam: float) -> float:
-        # Fast path used inside simulation loops; caller checks the envelope.
-        i, t = self._segment(lam)
-        c = self._coeffs[i]
-        return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+        # The one scalar C_p path, run several times per simulation step:
+        # _segment is inlined.  The caller checks the envelope.
+        breaks = self._breaks
+        i = bisect_right(breaks, lam) - 1
+        if i < 0:
+            i = 0
+        elif i > len(breaks) - 2:
+            i = len(breaks) - 2
+        t = lam - breaks[i]
+        c0, c1, c2, c3 = self._coeffs[i]
+        return ((c0 * t + c1) * t + c2) * t + c3
 
     def _cp_prime_scalar(self, lam: float) -> float:
         i, t = self._segment(lam)

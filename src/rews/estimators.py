@@ -48,13 +48,14 @@ class Family(enum.Enum):
 
 
 def check_gains(gamma: float, beta: float, delay_T: float) -> None:
-    """Raise ConfigError unless gamma > 0, beta >= 0 and delay_T >= 0 (NaN fails)."""
-    if not gamma > 0:
-        raise ConfigError(f"gamma must be positive, got {float(gamma)}")
-    if not beta >= 0:
-        raise ConfigError(f"beta must be non-negative, got {float(beta)}")
-    if not delay_T >= 0:
-        raise ConfigError(f"delay must be non-negative, got {float(delay_T)}")
+    """Raise ConfigError unless 0 < gamma, 0 <= beta and 0 <= delay_T, all
+    finite (NaN fails)."""
+    if not 0 < gamma < math.inf:
+        raise ConfigError(f"gamma must be positive and finite, got {float(gamma)}")
+    if not 0 <= beta < math.inf:
+        raise ConfigError(f"beta must be non-negative and finite, got {float(beta)}")
+    if not 0 <= delay_T < math.inf:
+        raise ConfigError(f"delay must be non-negative and finite, got {float(delay_T)}")
 
 
 @dataclass(frozen=True)

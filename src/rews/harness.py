@@ -208,10 +208,14 @@ def run_shared_plant(scenarios) -> list:
     k_gain = first.controller_gain
     gear = params.gear_ratio
 
-    # Wind per step: the level of the last segment started by then.
+    # Wind per step: the level of the last segment started by then.  The
+    # plant takes it as a Python float, so the whole step loop runs on
+    # Python floats rather than slower numpy scalars.
     times = np.arange(n + 1) * dt
     starts, levels = zip(*first.wind_profile)
-    u_arr = np.array(levels)[np.searchsorted(starts, times, side="right") - 1]
+    segment = np.searchsorted(starts, times, side="right") - 1
+    u_arr = np.array(levels)[segment]
+    u_step = [levels[i] for i in segment.tolist()]
 
     omega = np.empty(n + 1)
     t_g = np.empty(n + 1)
@@ -238,7 +242,7 @@ def run_shared_plant(scenarios) -> list:
             if not live:
                 break
         if k < n:
-            w = rk4_plant_step(params, curve, w, tg, u_arr[k], dt)
+            w = rk4_plant_step(params, curve, w, tg, u_step[k], dt)
 
     traces = []
     for run in runs:
@@ -574,9 +578,9 @@ def emit_certificate(gamma: float, beta: float, delay: float,
                      circle: CircleSpec, out_dir) -> tuple:
     """Write ``nyquist.csv``, ``verdict.json`` and ``nyquist.svg`` for one
     configuration; return ``(verdict, written paths)``."""
+    verdict = stability.certify(gamma, beta, delay, circle)  # refuses bad gains first
     fr = stability.frequency_response(gamma, beta, delay,
                                       stability.default_omega_grid())
-    verdict = stability.certify(gamma, beta, delay, circle)
     os.makedirs(out_dir, exist_ok=True)
     csv_path, json_path, svg_path = (
         os.path.join(out_dir, name)

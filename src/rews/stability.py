@@ -231,6 +231,7 @@ def max_stable_beta(gamma: float, delay_T: float, circle: CircleSpec) -> float:
     """Largest ``m`` with every integral gain in ``[0, m]`` certified: with
     ``G = A + beta*B``, a frequency enters the disk at the smaller positive
     root of ``|G - C|^2 = R^2``.  Refusals as in the module docstring."""
+    check_gains(gamma, 0.0, delay_T)
     grid = default_omega_grid()
     b = frequency_response(0.0, 1.0, delay_T, grid).g_values
     d = frequency_response(gamma, 0.0, delay_T, grid).g_values - circle.center
@@ -246,6 +247,7 @@ def max_stable_delay(gamma: float, beta: float, circle: CircleSpec) -> float:
     """Largest ``m`` with every delay in ``[0, m]`` certified: the delay turns
     ``G0 = G(jw)|T=0`` by ``-w*T``, and a frequency is in the disk while its
     phase is in ``[a, 2pi - a]``.  Refusals as in the module docstring."""
+    check_gains(gamma, beta, 0.0)
     grid = default_omega_grid()
     g0 = frequency_response(gamma, beta, 0.0, grid).g_values
     r, c_abs = np.abs(g0), -circle.center

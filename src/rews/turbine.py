@@ -24,7 +24,6 @@ __all__ = [
     "phi_prime_u",
     "optimal_torque_gain",
     "steady_state_rotor_speed",
-    "plant_derivative",
     "rk4_plant_step",
 ]
 
@@ -134,15 +133,16 @@ def phi_clamped(params: TurbineParams, curve: CpCurve,
         raise EnvelopeError(
             f"rotor speed {float(omega_r)} below the lower bound {params.omega_r_min}"
         )
-    u_lo = omega_r * params.rotor_radius / curve.lambda_max
-    u_hi = omega_r * params.rotor_radius / curve.lambda_min
+    tip_speed = omega_r * params.rotor_radius
+    u_lo = tip_speed / curve.lambda_max
+    u_hi = tip_speed / curve.lambda_min
     clamped = False
     if u < u_lo:
         u, clamped = u_lo, True
     elif u > u_hi:
         u, clamped = u_hi, True
-    lam = omega_r * params.rotor_radius / u
-    return params.phi_coefficient * u ** 3 / omega_r * curve._cp_scalar(lam), clamped
+    cp = curve._cp_scalar(tip_speed / u)
+    return params.phi_coefficient * u ** 3 / omega_r * cp, clamped
 
 
 def phi_prime_u(params: TurbineParams, curve: CpCurve,
@@ -194,18 +194,34 @@ def steady_state_rotor_speed(params: TurbineParams, curve: CpCurve,
     return float(brentq(residual, lo, hi, xtol=1e-12))
 
 
-def plant_derivative(params: TurbineParams, curve: CpCurve,
-                     omega_r: float, t_g: float, u: float) -> float:
-    """d(omega_r)/dt of the one-state drivetrain."""
-    return (phi(params, curve, omega_r, u) / params.gear_ratio
-            - t_g / (params.gear_ratio * params.inertia_equivalent))
-
-
 def rk4_plant_step(params: TurbineParams, curve: CpCurve, omega_r: float,
                    t_g: float, u: float, dt: float) -> float:
-    """One classical RK4 step with the generator torque held over the step."""
-    k1 = plant_derivative(params, curve, omega_r, t_g, u)
-    k2 = plant_derivative(params, curve, omega_r + 0.5 * dt * k1, t_g, u)
-    k3 = plant_derivative(params, curve, omega_r + 0.5 * dt * k2, t_g, u)
-    k4 = plant_derivative(params, curve, omega_r + dt * k3, t_g, u)
+    """One classical RK4 step of ``d(omega_r)/dt = phi/N - T_g/(N J)``
+    with the generator torque held over the step.
+
+    Each stage runs the checks of :func:`phi` and raises the same
+    :class:`EnvelopeError`; the terms fixed over the step are taken once,
+    in the operation order of ``phi``, so the result is bit for bit the
+    four-stage scheme written with ``phi``.
+    """
+    if u <= 0:
+        _check_inputs(params, omega_r, u)  # raises phi's error
+    n = params.gear_ratio
+    radius = params.rotor_radius
+    w_min = params.omega_r_min
+    lam_lo, lam_hi = curve.lambda_min, curve.lambda_max
+    aero = params.phi_coefficient * u ** 3
+    load = t_g / (n * params.inertia_equivalent)
+    half = 0.5 * dt
+    k = []
+    w = omega_r
+    for step in (half, half, dt, None):
+        lam = w * radius / u
+        if not (w >= w_min and lam_lo <= lam <= lam_hi):
+            _check_inputs(params, w, u)  # raise phi's error
+            curve._check_envelope(lam)
+        k.append(aero / w * curve._cp_scalar(lam) / n - load)
+        if step is not None:
+            w = omega_r + step * k[-1]
+    k1, k2, k3, k4 = k
     return omega_r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

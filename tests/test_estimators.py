@@ -36,6 +36,12 @@ class TestConfig:
             EstimatorConfig(family=Family.PI, gamma=40.0, beta=-1.0)
         with pytest.raises(ConfigError):
             EstimatorConfig(family=Family.PI, gamma=40.0, delay_T=-0.1)
+        for name, kwargs in [("gamma", {"gamma": math.inf}),
+                             ("beta", {"gamma": 40.0, "beta": math.inf}),
+                             ("delay", {"gamma": 40.0, "delay_T": math.inf})]:
+            with pytest.raises(ConfigError,
+                               match=f"{name} must be .* finite, got inf"):
+                EstimatorConfig(family=Family.PI, **kwargs)
 
     def test_beta_only_for_pi(self):
         # Only the PI form has an integral gain; a nonzero beta elsewhere

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from rews import stability
-from rews.estimators import Family, init_estimator
+from rews import harness, stability
+from rews.estimators import Family, init_estimator, step_estimator
 from rews.exceptions import ConfigError, CurveError, EnvelopeError
 from rews.harness import (_CSV_CHUNK, CASE_STUDIES, Scenario, SimTrace,
                           _write_csv, _write_json,
@@ -16,6 +16,7 @@ from rews.harness import (_CSV_CHUNK, CASE_STUDIES, Scenario, SimTrace,
                           run_scenario, run_shared_plant, scenario_from_json,
                           write_trace_csv)
 from rews.stability import certify
+from rews.turbine import rk4_plant_step
 from rews.cli import main as cli_main
 
 
@@ -58,7 +59,7 @@ class TestScenarioValidation:
             _scenario(delay_T=0.305)
         with pytest.raises(ConfigError, match="multiple"):
             _scenario(delay_T=0.3, dt=0.04)
-        with pytest.raises(ConfigError, match="multiple"):
+        with pytest.raises(ConfigError, match="delay must be .* got inf"):
             _scenario(delay_T=math.inf)
         scn = _scenario(delay_T=0.3, dt=0.01)
         assert len(init_estimator(scn.estimator, scn.initial_omega_r,
@@ -155,6 +156,29 @@ class TestSharedPlant:
                          "u_hat", "t_g", "clamp_count"):
                 assert np.array_equal(getattr(together, name),
                                       getattr(solo, name), equal_nan=True), name
+
+    def test_step_loop_runs_on_python_floats(self, monkeypatch):
+        # numpy scalars give the same bits several times slower.
+        seen = []
+
+        def plant(params, curve, omega_r, t_g, u, dt):
+            seen.extend((omega_r, t_g, u))
+            return rk4_plant_step(params, curve, omega_r, t_g, u, dt)
+
+        def estimator(params, curve, state, omega_r, t_g, config):
+            u_hat = step_estimator(params, curve, state, omega_r, t_g, config)
+            seen.extend((omega_r, t_g, u_hat))
+            return u_hat
+
+        monkeypatch.setattr(harness, "rk4_plant_step", plant)
+        monkeypatch.setattr(harness, "step_estimator", estimator)
+        traces = run_shared_plant([
+            _scenario(duration=1.0, wind_profile=[(0.0, 7.0), (0.5, 8.0)]),
+            _scenario(duration=1.0, wind_profile=[(0.0, 7.0), (0.5, 8.0)],
+                      family=Family.IANDI, beta=0.0, delay_T=0.3)])
+        assert len(seen) == 3 * (100 + 2 * 101)
+        assert {type(x) for x in seen} == {float}
+        assert all(tr.u_true.dtype == np.float64 for tr in traces)
 
     def test_guard_trip_before_the_plant_leaves_the_envelope(self):
         # The long-delay loop trips the divergence guard at about 98.6 s,
@@ -426,20 +450,25 @@ class TestCli:
         assert json.loads((tmp_path / "o" / "verdict.json").read_text())[
             "min_distance"] == verdict.min_distance
 
-    @pytest.mark.parametrize("duration", [math.nan, math.inf],
-                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("change, message", [
+        ({"duration": math.nan}, "duration and dt must be positive and finite"),
+        ({"duration": math.inf}, "duration and dt must be positive and finite"),
+        ({"estimator": {"family": "pi", "gamma": math.inf}},
+         "gamma must be positive and finite, got inf"),
+    ], ids=["nan", "inf", "gamma-inf"])
     def test_non_finite_scenario_is_a_clean_error(self, tmp_path, capsys,
-                                                  duration):
-        spec = {"wind_profile": [[0.0, 7.0]], "duration": duration,
+                                                  recwarn, change, message):
+        spec = {"wind_profile": [[0.0, 7.0]], "duration": 10.0,
                 "estimator": {"family": "pi", "gamma": 40.0}}
+        spec.update(change)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(spec))   # writes NaN / Infinity literals
         rc = cli_main(["simulate", "--scenario", str(path),
                        "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        assert err == f"error: {message}\n"
+        assert not recwarn.list
         assert not (tmp_path / "o").exists()
 
     def test_stability_command_exit_codes(self, tmp_path):
@@ -497,20 +526,39 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
-    @pytest.mark.parametrize("argv", [
-        ["margins", "--gamma", "0", "--beta", "0"],
-        ["margins", "--gamma", "-5", "--delay", "0.3"],
-        ["stability", "--gamma", "0"],
-        ["stability", "--gamma", "40", "--delay", "-1"],
+    @pytest.mark.parametrize("argv, message", [
+        (["margins", "--gamma", "0", "--beta", "0"], "gamma must be"),
+        (["margins", "--gamma", "-5", "--delay", "0.3"], "gamma must be"),
+        (["stability", "--gamma", "0"], "gamma must be"),
+        (["stability", "--gamma", "40", "--delay", "-1"], "delay must be"),
         # Valid gains whose locus never collapses inside the widest grid.
-        ["stability", "--gamma", "1e6"],
+        (["stability", "--gamma", "1e6"], "distance minimum"),
+        # Infinite values are named before any evaluation (which warned).
+        (["stability", "--gamma", "inf", "--delay", "0.3"],
+         "gamma must be positive and finite, got inf"),
+        (["stability", "--gamma", "40", "--beta", "inf"],
+         "beta must be non-negative and finite, got inf"),
+        (["stability", "--gamma", "40", "--delay", "inf"],
+         "delay must be non-negative and finite, got inf"),
+        (["margins", "--gamma", "inf", "--delay", "0.3"],
+         "gamma must be positive and finite, got inf"),
+        (["margins", "--gamma", "40", "--delay", "inf"],
+         "delay must be non-negative and finite, got inf"),
+        (["margins", "--gamma", "40", "--beta", "inf"],
+         "beta must be non-negative and finite, got inf"),
     ], ids=["margins-gamma-0", "margins-gamma-negative", "stability-gamma-0",
-            "stability-delay-negative", "stability-grid-coverage"])
-    def test_impossible_gains_are_a_clean_error(self, tmp_path, capsys, argv):
+            "stability-delay-negative", "stability-grid-coverage",
+            "stability-gamma-inf", "stability-beta-inf", "stability-delay-inf",
+            "margins-gamma-inf", "margins-delay-inf", "margins-beta-inf"])
+    def test_impossible_gains_are_a_clean_error(self, tmp_path, capsys,
+                                                recwarn, argv, message):
         if argv[0] == "stability":
             argv = argv + ["--out", str(tmp_path / "o")]
         assert cli_main(argv) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not recwarn.list
         assert not (tmp_path / "o").exists()
 
     def test_bad_scenario_file_is_a_clean_error(self, tmp_path, capsys):

@@ -97,13 +97,24 @@ class TestVerdicts:
         assert v.min_distance == pytest.approx(26.44, abs=0.05)
         assert v.min_distance > case_study_circle().radius
 
-    def test_rejects_gains_no_estimator_can_have(self):
+    def test_rejects_gains_no_estimator_can_have(self, recwarn):
         circle = case_study_circle()
         for gamma, beta, delay in [(0.0, 0.0, 0.0), (-5.0, 0.0, 0.3),
                                    (40.0, -1.0, 0.3), (40.0, 10.0, -1.0),
-                                   (math.nan, 10.0, 0.3)]:
+                                   (math.nan, 10.0, 0.3),
+                                   (math.inf, 10.0, 0.3),
+                                   (40.0, math.inf, 0.3),
+                                   (40.0, 10.0, math.inf)]:
             with pytest.raises(ConfigError):
                 certify(gamma, beta, delay, circle)
+        # The margins check their fixed inputs before evaluating anything.
+        with pytest.raises(ConfigError, match="gamma .* got inf"):
+            max_stable_beta(math.inf, 0.3, circle)
+        with pytest.raises(ConfigError, match="delay .* got inf"):
+            max_stable_beta(40.0, math.inf, circle)
+        with pytest.raises(ConfigError, match="beta .* got inf"):
+            max_stable_delay(40.0, math.inf, circle)
+        assert not recwarn.list
         # The margins inherit the check through their certify(..., 0) call.
         with pytest.raises(ConfigError, match="gamma"):
             max_stable_beta(-5.0, 0.3, circle)

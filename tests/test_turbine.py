@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,8 +9,28 @@ from rews.exceptions import ConfigError, EnvelopeError
 from rews.harness import make_step_wind_scenario, run_scenario
 from rews.turbine import (TurbineParams, default_turbine_params,
                           load_params_file, optimal_torque_gain, phi,
-                          phi_clamped, phi_prime_u, plant_derivative,
-                          rk4_plant_step, steady_state_rotor_speed)
+                          phi_clamped, phi_prime_u, rk4_plant_step,
+                          steady_state_rotor_speed)
+
+
+def _reference_rk4(params, curve, omega_r, t_g, u, dt):
+    """The classic four-stage RK4 of d(omega_r)/dt = phi/N - T_g/(N J)."""
+    n, j = params.gear_ratio, params.inertia_equivalent
+
+    def rate(w):
+        return phi(params, curve, w, u) / n - t_g / (n * j)
+
+    k1 = rate(omega_r)
+    k2 = rate(omega_r + 0.5 * dt * k1)
+    k3 = rate(omega_r + 0.5 * dt * k2)
+    k4 = rate(omega_r + dt * k3)
+    return omega_r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _envelope_message(fn, *args):
+    with pytest.raises(EnvelopeError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 class TestParams:
@@ -220,8 +241,48 @@ class TestStepPlant:
         observed_order = math.log2(d1 / d2) - 1.0
         assert observed_order >= 4.0
 
-    def test_derivative_consistent_with_torque_balance(self, params, curve):
-        omega_r, u, t_g = 0.9, 8.0, 20000.0
-        expected = (phi(params, curve, omega_r, u) / params.gear_ratio
-                    - t_g / (params.gear_ratio * params.inertia_equivalent))
-        assert plant_derivative(params, curve, omega_r, t_g, u) == expected
+    def test_step_equals_reference_scheme_bitwise(self, params, curve):
+        # Long steps and torques far from balance make the stage increments
+        # comparable to omega_r, so a reordered operation in a stage shows
+        # in the result instead of rounding away.  Draws whose stages leave
+        # the envelope are redrawn.
+        rng = random.Random(20210415)
+        k_opt = optimal_torque_gain(params, curve)
+        checked = 0
+        while checked < 1000:
+            u = rng.uniform(4.0, 11.0)
+            lam = rng.uniform(curve.lambda_min + 0.5, curve.lambda_max - 0.5)
+            omega_r = lam * u / params.rotor_radius
+            t_g = rng.uniform(0.0, 5.0) * k_opt * (params.gear_ratio * omega_r) ** 2
+            dt = rng.uniform(0.01, 20.0)
+            try:
+                expected = _reference_rk4(params, curve, omega_r, t_g, u, dt)
+            except EnvelopeError:
+                continue
+            assert rk4_plant_step(params, curve, omega_r, t_g, u, dt) == expected
+            checked += 1
+
+    @pytest.mark.parametrize("omega_r, t_g, u, dt, message", [
+        # The first stage is inside; a later one drops below
+        # omega_r_min = 0.1 at a tip-speed ratio of 2.5, inside.
+        (0.105, 5e4, 2.5, 0.05, "rotor speed 0.0994"),
+        # As above, but the ratio is below lambda_min = 2 as well: the
+        # rotor-speed check comes first.
+        (0.1001, 5e5, 3.1, 0.01, "rotor speed 0.094"),
+        # Decelerating through the lower tip-speed-ratio edge.
+        (0.2565, 6e4, 8.0, 0.05, "tip-speed ratio 1.99"),
+        # Unloaded and accelerating through the upper edge.
+        (1.2695, 0.0, 8.0, 0.5, "tip-speed ratio 10.02"),
+        # Outside at the first stage.
+        (1.5, 0.0, 8.0, 0.01, "tip-speed ratio 11.8"),
+        (0.9, 0.0, -1.0, 0.01, "wind speed must be positive"),
+        (0.09, 0.0, 2.5, 0.01, "rotor speed 0.09 below"),
+    ], ids=["rotor-speed", "rotor-speed-before-tsr", "tsr-low", "tsr-high",
+            "first-stage", "wind", "first-stage-speed"])
+    def test_step_leaving_the_envelope_raises_like_phi(
+            self, params, curve, omega_r, t_g, u, dt, message):
+        expected = _envelope_message(_reference_rk4, params, curve,
+                                     omega_r, t_g, u, dt)
+        assert message in expected
+        assert _envelope_message(rk4_plant_step, params, curve,
+                                 omega_r, t_g, u, dt) == expected
