@@ -1,9 +1,12 @@
 """Power coefficient curve C_p(lambda) and shape-derived quantities.
 
 The curve is tabulated over tip-speed ratio and interpolated with a
-monotone-preserving cubic (PCHIP), which keeps the single-peak sign
-pattern of the derivative intact.  All queries outside the tabulated
-tip-speed-ratio envelope are hard errors; no extrapolation.
+monotone-preserving cubic (PCHIP).  PCHIP keeps every monotone run of the
+table monotone and gives a data maximum zero slope (Fritsch & Carlson,
+SIAM J. Numer. Anal. 17, 1980), so the interpolant has one peak exactly
+when the table does, and the peak is the table's largest knot.  All
+queries outside the tabulated tip-speed-ratio envelope are hard errors;
+no extrapolation.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ __all__ = [
     "default_cp_curve",
 ]
 
-# Tolerance for locating lambda_star on the interpolant.
-_LAMBDA_STAR_TOL = 1e-12
 _KAPPA_ROOT_TOL = 1e-12
 
 
@@ -67,24 +68,19 @@ class CpCurve:
     def lambda_max(self) -> float:
         return self._breaks[-1]
 
-    def _check_envelope(self, lam: float) -> None:
-        if not (self.lambda_min <= lam <= self.lambda_max):
-            raise EnvelopeError(
-                f"tip-speed ratio {float(lam)} outside [{self.lambda_min}, {self.lambda_max}]"
-            )
-
-    def _segment(self, lam: float):
-        i = bisect_right(self._breaks, lam) - 1
-        if i < 0:
-            i = 0
-        last = len(self._breaks) - 2
-        if i > last:
-            i = last
-        return i, lam - self._breaks[i]
+    def _check_envelope(self, lam) -> None:
+        """Raise EnvelopeError naming the first tip-speed ratio in ``lam``
+        (a number or an array) outside ``[lambda_min, lambda_max]``."""
+        lam = np.asarray(lam, dtype=float)
+        outside = lam[~((lam >= self.lambda_min) & (lam <= self.lambda_max))]
+        if outside.size:
+            raise EnvelopeError(f"tip-speed ratio {float(outside[0])} outside "
+                                f"[{self.lambda_min}, {self.lambda_max}]")
 
     def _cp_scalar(self, lam: float) -> float:
-        # The one scalar C_p path, run several times per simulation step:
-        # _segment is inlined.  The caller checks the envelope.
+        # The simulator's C_p path, run several times per step; the caller
+        # checks the envelope.  Same segment choice and Horner order as
+        # _cp_array, so equal bit for bit.
         breaks = self._breaks
         i = bisect_right(breaks, lam) - 1
         if i < 0:
@@ -95,14 +91,8 @@ class CpCurve:
         c0, c1, c2, c3 = self._coeffs[i]
         return ((c0 * t + c1) * t + c2) * t + c3
 
-    def _cp_prime_scalar(self, lam: float) -> float:
-        i, t = self._segment(lam)
-        c = self._coeffs[i]
-        return (3.0 * c[0] * t + 2.0 * c[1]) * t + c[2]
-
     def _cp_array(self, lam: np.ndarray, derivative: bool = False) -> np.ndarray:
-        # Vectorised form of _cp_scalar / _cp_prime_scalar: same segment
-        # choice and Horner order, so equal bit for bit; no envelope check.
+        # The query evaluator (see _query); no envelope check.
         breaks = np.asarray(self._breaks)
         i = np.clip(np.searchsorted(breaks, lam, side="right") - 1,
                     0, breaks.size - 2)
@@ -112,36 +102,26 @@ class CpCurve:
             return (3.0 * c[0] * t + 2.0 * c[1]) * t + c[2]
         return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
 
-    def _checked_array(self, lam) -> np.ndarray:
+    def _query(self, lam, evaluate):
+        # One envelope check, then the evaluator: an array for an array,
+        # a Python float for a number.
         lam = np.asarray(lam, dtype=float)
-        if lam.size and (lam.min() < self.lambda_min or lam.max() > self.lambda_max):
-            raise EnvelopeError("tip-speed ratio array leaves the curve envelope")
-        return lam
+        self._check_envelope(lam)
+        value = evaluate(lam)
+        return value if lam.ndim else float(value)
 
     def cp(self, lam):
         """Interpolated power coefficient at tip-speed ratio ``lam``."""
-        if np.ndim(lam) == 0:
-            lam = float(lam)
-            self._check_envelope(lam)
-            return self._cp_scalar(lam)
-        return self._cp_array(self._checked_array(lam))
+        return self._query(lam, self._cp_array)
 
     def cp_prime(self, lam):
         """Derivative dC_p/dlambda of the interpolant."""
-        if np.ndim(lam) == 0:
-            lam = float(lam)
-            self._check_envelope(lam)
-            return self._cp_prime_scalar(lam)
-        return self._cp_array(self._checked_array(lam), derivative=True)
+        return self._query(lam, lambda x: self._cp_array(x, derivative=True))
 
     def kappa(self, lam):
         """(3/lambda) C_p(lambda) - C_p'(lambda), the monotonicity term."""
-        if np.ndim(lam) == 0:
-            lam = float(lam)
-            self._check_envelope(lam)
-            return 3.0 / lam * self._cp_scalar(lam) - self._cp_prime_scalar(lam)
-        lam = self._checked_array(lam)
-        return 3.0 / lam * self._cp_array(lam) - self._cp_array(lam, derivative=True)
+        return self._query(lam, lambda x: 3.0 / x * self._cp_array(x)
+                           - self._cp_array(x, derivative=True))
 
     @property
     def cp_star(self) -> float:
@@ -149,42 +129,19 @@ class CpCurve:
         return self._cp_scalar(self.lambda_star)
 
 
-def _validate_single_peak(pchip: PchipInterpolator, grid: np.ndarray) -> float:
-    """Check the single-peak derivative sign pattern; return lambda_star.
-
-    The derivative of the interpolant must be positive up to an interior
-    maximizer and negative beyond it, with exactly one sign change.
-    """
-    lam_min, lam_max = float(grid[0]), float(grid[-1])
-    dense = np.linspace(lam_min, lam_max, 2001)
-    dp = pchip.derivative()(dense)
-
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(dp))))
-    signs = np.sign(np.where(np.abs(dp) <= tol, 0.0, dp))
-    nonzero = signs[signs != 0]
-    if nonzero.size == 0:
-        raise CurveError("power coefficient curve is flat")
-    changes = np.count_nonzero(np.diff(nonzero) != 0)
-    if nonzero[0] <= 0 or nonzero[-1] >= 0 or changes != 1:
-        raise CurveError(
-            "derivative sign pattern is not single-peaked "
-            "(positive below the maximizer, negative above)"
-        )
-
-    # Bracket the sign change of the derivative, then refine by root finding.
-    idx = int(np.argmax(signs < 0))
-    lo = dense[max(idx - 1, 0)]
-    hi = dense[idx]
-    dprime = pchip.derivative()
-    if dprime(lo) <= 0 or dprime(hi) >= 0:
-        # Fall back to a coarse scan if the bracket degenerated on the grid.
-        k = int(np.argmax(pchip(dense)))
-        lo = dense[max(k - 1, 0)]
-        hi = dense[min(k + 1, dense.size - 1)]
-    lam_star = brentq(dprime, lo, hi, xtol=_LAMBDA_STAR_TOL)
-    if not (lam_min < lam_star < lam_max):
+def _peak_knot(cp: np.ndarray) -> int:
+    """Index of the table's peak; CurveError unless the table rises to an
+    interior maximum and falls after it (plateaus allowed)."""
+    k = int(np.argmax(cp))
+    if k == 0 or cp[-1] == cp[k]:
         raise CurveError("maximizer of the curve is not interior")
-    return float(lam_star)
+    rise = np.diff(cp)
+    if np.any(rise[:k] < 0) or np.any(rise[k:] > 0):
+        raise CurveError(
+            "power coefficient table is not single-peaked "
+            "(rising up to its maximum, falling above it)"
+        )
+    return k
 
 
 def _find_lambda_zero(curve: CpCurve, lam_star: float) -> float:
@@ -205,7 +162,8 @@ def load_cp_curve(pairs) -> CpCurve:
     """Build a validated :class:`CpCurve` from (lambda, cp) pairs.
 
     Requires at least 4 pairs, a strictly increasing lambda grid,
-    positive cp values, and a single-peaked interpolant derivative.
+    positive cp values, and a single-peaked table; lambda_star is its
+    peak knot.
     """
     arr = np.asarray(list(pairs), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -223,17 +181,16 @@ def load_cp_curve(pairs) -> CpCurve:
     if np.any(cp <= 0):
         raise CurveError("power coefficient values must be positive")
 
+    lam_star = float(lam[_peak_knot(cp)])
     pchip = PchipInterpolator(lam, cp, extrapolate=False)
-    lam_star = _validate_single_peak(pchip, lam)
 
     curve = CpCurve(
         lambda_grid=lam.copy(),
         cp_values=cp.copy(),
         lambda_star=lam_star,
         lambda_zero=float(lam[0]),
-        _breaks=[float(x) for x in pchip.x],
-        _coeffs=[tuple(float(pchip.c[r, i]) for r in range(4))
-                 for i in range(pchip.c.shape[1])],
+        _breaks=pchip.x.tolist(),
+        _coeffs=[tuple(row) for row in pchip.c.T.tolist()],
     )
     return replace(curve, lambda_zero=_find_lambda_zero(curve, lam_star))
 

@@ -101,20 +101,16 @@ class Scenario:
             raise ConfigError("wind profile must contain at least one segment")
         if profile[0][0] != 0.0:
             raise ConfigError("first wind segment must start at t = 0")
-        starts = [t for t, _ in profile]
-        if not all(a < b for a, b in zip(starts, starts[1:])):
-            raise ConfigError("wind segments must be strictly time-ordered")
         if not all(0 < u < math.inf for _, u in profile):
             raise ConfigError("wind speeds must be positive and finite")
         if not (0 < self.duration < math.inf and 0 < self.dt < math.inf):
             raise ConfigError("duration and dt must be positive and finite")
-        delay = self.estimator.delay_T
-        steps = delay / self.dt
-        if not (steps < math.inf
-                and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
-            raise ConfigError(f"delay {delay} is not an integer multiple of dt {self.dt}")
-        if starts[-1] >= self.duration:
+        starts = self.wind_steps()
+        if not all(a < b for a, b in zip(starts, starts[1:])):
+            raise ConfigError("wind segments must be strictly time-ordered")
+        if starts[-1] >= self.n_steps():
             raise ConfigError("last wind segment starts after the run ends")
+        _grid_steps(self.estimator.delay_T, self.dt, "delay")
         if not 0 < self.controller_gain < math.inf:
             raise ConfigError("controller gain must be positive and finite")
         if not self.turbine.omega_r_min <= self.initial_omega_r < math.inf:
@@ -122,7 +118,21 @@ class Scenario:
                               "below the lower bound")
 
     def n_steps(self) -> int:
-        return int(round(self.duration / self.dt))
+        return _grid_steps(self.duration, self.dt, "duration")
+
+    def wind_steps(self) -> list:
+        """Grid step at which each wind segment starts."""
+        return [_grid_steps(t, self.dt, "wind start") for t, _ in self.wind_profile]
+
+
+def _grid_steps(value: float, dt: float, what: str) -> int:
+    """``value`` in whole steps of ``dt``; ConfigError unless it is one
+    within 1e-9 relative."""
+    steps = value / dt
+    if not (abs(steps) < math.inf
+            and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
+        raise ConfigError(f"{what} {value} is not an integer multiple of dt {dt}")
+    return round(steps)
 
 
 @dataclass
@@ -208,14 +218,13 @@ def run_shared_plant(scenarios) -> list:
     k_gain = first.controller_gain
     gear = params.gear_ratio
 
-    # Wind per step: the level of the last segment started by then.  The
+    # Wind per step: each level from its segment's start step on.  The
     # plant takes it as a Python float, so the whole step loop runs on
     # Python floats rather than slower numpy scalars.
     times = np.arange(n + 1) * dt
-    starts, levels = zip(*first.wind_profile)
-    segment = np.searchsorted(starts, times, side="right") - 1
-    u_arr = np.array(levels)[segment]
-    u_step = [levels[i] for i in segment.tolist()]
+    levels = [u for _, u in first.wind_profile]
+    u_arr = np.repeat(levels, np.diff(first.wind_steps() + [n + 1]))
+    u_step = u_arr.tolist()
 
     omega = np.empty(n + 1)
     t_g = np.empty(n + 1)
@@ -265,19 +274,6 @@ def run_shared_plant(scenarios) -> list:
     return traces
 
 
-def _segment_slices(trace: SimTrace):
-    starts = [t for t, _ in trace.scenario.wind_profile]
-    bounds = starts[1:] + [trace.scenario.duration]
-    t = trace.t
-    for i, (t0, t1) in enumerate(zip(starts, bounds)):
-        if i == len(starts) - 1:
-            idx = np.nonzero((t >= t0 - 1e-12) & (t <= t1 + 1e-12))[0]
-        else:
-            idx = np.nonzero((t >= t0 - 1e-12) & (t < t1 - 1e-12))[0]
-        if idx.size:
-            yield idx
-
-
 def classify_trace(trace: SimTrace) -> str:
     """One of 'converged', 'oscillatory', 'diverged'.
 
@@ -288,9 +284,7 @@ def classify_trace(trace: SimTrace) -> str:
     if trace.stopped_early:
         return "diverged"
 
-    segments = list(_segment_slices(trace))
-    if not segments:
-        return "oscillatory"
+    segments = np.split(np.arange(len(trace)), trace.scenario.wind_steps()[1:])
 
     # Trailing window growth on the final segment.
     tail_idx = segments[-1]
@@ -336,15 +330,12 @@ def default_sector_bounds(params: TurbineParams, curve: CpCurve,
 
 def make_step_wind_scenario(gamma: float, beta: float, delay_T: float,
                             family: Family = Family.PI,
-                            params: TurbineParams = None,
-                            curve: CpCurve = None,
                             wind_profile=None,
                             duration: float = _STEP_DURATION,
-                            dt: float = _DEFAULT_DT,
-                            u_guess: float = _DEFAULT_U_GUESS) -> Scenario:
+                            dt: float = _DEFAULT_DT) -> Scenario:
     """Stepwise-wind scenario with fixture defaults (5/7/9 m/s levels)."""
-    params = params or default_turbine_params()
-    curve = curve or default_cp_curve()
+    params = default_turbine_params()
+    curve = default_cp_curve()
     profile = tuple(wind_profile or _STEP_WIND)
     k_opt = optimal_torque_gain(params, curve)
     omega0 = steady_state_rotor_speed(params, curve, k_opt, profile[0][1])
@@ -358,7 +349,7 @@ def make_step_wind_scenario(gamma: float, beta: float, delay_T: float,
         estimator=EstimatorConfig(family=family, gamma=gamma, beta=beta,
                                   delay_T=delay_T),
         initial_omega_r=omega0,
-        initial_u_guess=u_guess,
+        initial_u_guess=_DEFAULT_U_GUESS,
     )
 
 

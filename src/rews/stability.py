@@ -23,7 +23,7 @@ import numpy as np
 from .cp_model import CpCurve
 from .estimators import check_gains
 from .exceptions import ConfigError, EnvelopeError, GridCoverageError
-from .turbine import TurbineParams, phi
+from .turbine import TurbineParams
 
 __all__ = [
     "SectorBounds",
@@ -156,7 +156,10 @@ def default_omega_grid(lo: float = _GRID_LO, hi: float = _GRID_HI,
 
 def frequency_response(gamma: float, beta: float, delay_T: float,
                        omega_grid) -> FrequencyResponse:
-    """Evaluate G(j w) = (gamma j w + beta)/(j w)^2 * exp(-j w T)."""
+    """Evaluate G(j w) = (gamma j w + beta)/(j w)^2 * exp(-j w T).
+
+    Raises ConfigError when the locus overflows or when ``w*T`` reaches
+    2**52 on the grid (the delay phase would be all rounding)."""
     omega = np.asarray(omega_grid, dtype=float)
     if omega.ndim != 1 or omega.size == 0:
         raise ConfigError("frequency grid must be a non-empty 1-D array")
@@ -164,8 +167,15 @@ def frequency_response(gamma: float, beta: float, delay_T: float,
         raise ConfigError("frequency grid must be strictly positive (double pole at 0)")
     if np.any(np.diff(omega) <= 0):
         raise ConfigError("frequency grid must be strictly increasing")
+    if omega[-1] * delay_T >= 2.0 ** 52:
+        raise ConfigError(f"delay {delay_T!r} is too long: omega*delay reaches "
+                          f"2**52 on the grid, where its phase has no fractional bits")
     jw = 1j * omega
-    g = (gamma * jw + beta) / (jw * jw) * np.exp(-jw * delay_T)
+    with np.errstate(all="ignore"):
+        g = (gamma * jw + beta) / (jw * jw) * np.exp(-jw * delay_T)
+    if not np.isfinite(g).all():
+        raise ConfigError(f"Nyquist locus of gamma={gamma!r}, beta={beta!r}, "
+                          f"delay={delay_T!r} is not finite on the grid")
     return FrequencyResponse(omega_grid=omega, g_values=g)
 
 
@@ -193,14 +203,11 @@ def distance_criterion(fr: FrequencyResponse,
     )
 
 
-def certify(gamma: float, beta: float, delay_T: float, circle: CircleSpec,
-            omega_grid=None) -> DistanceVerdict:
+def certify(gamma: float, beta: float, delay_T: float,
+            circle: CircleSpec) -> DistanceVerdict:
     """Distance criterion with automatic grid widening on edge minima.  Gains
     no estimator can have raise ConfigError (rules of ``check_gains``)."""
     check_gains(gamma, beta, delay_T)
-    if omega_grid is not None:
-        return distance_criterion(
-            frequency_response(gamma, beta, delay_T, omega_grid), circle)
     lo, hi, n = _GRID_LO, _GRID_HI, _GRID_N
     for _ in range(_MAX_WIDENINGS + 1):
         fr = frequency_response(gamma, beta, delay_T,
@@ -235,9 +242,9 @@ def max_stable_beta(gamma: float, delay_T: float, circle: CircleSpec) -> float:
     grid = default_omega_grid()
     b = frequency_response(0.0, 1.0, delay_T, grid).g_values
     d = frequency_response(gamma, 0.0, delay_T, grid).g_values - circle.center
-    qb = 2.0 * (d * b.conj()).real
-    qc = np.abs(d) ** 2 - circle.radius ** 2
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        qb = 2.0 * (d * b.conj()).real
+        qc = np.abs(d) ** 2 - circle.radius ** 2
         entry = 2.0 * qc / (np.sqrt(qb * qb - 4.0 * np.abs(b) ** 2 * qc) - qb)
     return _first_crossing(
         entry, lambda x: certify(gamma, x, delay_T, circle).certified, "beta")
@@ -251,7 +258,7 @@ def max_stable_delay(gamma: float, beta: float, circle: CircleSpec) -> float:
     grid = default_omega_grid()
     g0 = frequency_response(gamma, beta, 0.0, grid).g_values
     r, c_abs = np.abs(g0), -circle.center
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = np.arccos((circle.radius ** 2 - r * r - c_abs ** 2) / (2.0 * r * c_abs))
     entry = np.mod(np.angle(g0) + a, 2.0 * np.pi) / grid
     return _first_crossing(

@@ -154,7 +154,7 @@ def line_chart(path, x, series, title="", xlabel="", ylabel=""):
     canvas.write(path)
 
 
-def nyquist_chart(path, re, im, center, radius, title="Nyquist locus"):
+def nyquist_chart(path, re, im, center, radius):
     """Locus of G(jw) with the forbidden disk, equal axis scaling."""
     re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     xs = np.append(re[np.isfinite(re)], [center - radius, center + radius])
@@ -164,7 +164,7 @@ def nyquist_chart(path, re, im, center, radius, title="Nyquist locus"):
     xs = np.clip(xs, center - span, center + span)
     ys = np.clip(ys, -span, span)
     canvas = _Canvas((xs.min(), xs.max()), (ys.min(), ys.max()),
-                     title, "Re", "Im", square=True)
+                     "Nyquist locus", "Re", "Im", square=True)
     canvas.circle(center, 0.0, radius, "#d62728")
     canvas.polyline(re, im, "#1f77b4")
     canvas.legend([("G(jω)", "#1f77b4"), ("forbidden disk", "#d62728")])

@@ -154,7 +154,6 @@ def phi_prime_u(params: TurbineParams, curve: CpCurve,
     """
     _check_inputs(params, omega_r, u)
     lam = omega_r * params.rotor_radius / u
-    curve._check_envelope(lam)
     return params.phi_coefficient * params.rotor_radius * u * curve.kappa(lam)
 
 

@@ -16,6 +16,7 @@ from rews.harness import (CASE_STUDIES, case_study_circle, classify_trace,
                           default_sector_bounds, make_step_wind_scenario,
                           run_case_studies, run_scenario)
 from rews.stability import (certify, circle_from_gains, default_omega_grid,
+                            distance_criterion, frequency_response,
                             max_stable_beta, max_stable_delay)
 from rews.turbine import default_turbine_params, phi, phi_prime_u, rk4_plant_step
 
@@ -178,9 +179,9 @@ def test_criterion_9_numerical_hygiene():
 
         # Frequency-grid refinement moves the verdict by at most 0.1%.
         circle = case_study_circle()
-        coarse = certify(40.0, 10.0, 0.3, circle,
-                         omega_grid=default_omega_grid(n=4000))
-        fine = certify(40.0, 10.0, 0.3, circle,
-                       omega_grid=default_omega_grid(n=8000))
+        coarse, fine = (
+            distance_criterion(frequency_response(
+                40.0, 10.0, 0.3, default_omega_grid(n=n)), circle)
+            for n in (4000, 8000))
         assert abs(fine.min_distance - coarse.min_distance) \
             <= 1e-3 * coarse.min_distance

@@ -31,6 +31,59 @@ def test_double_peak_rejected():
         load_cp_curve(zip(lam, cp))
 
 
+def test_dip_in_a_dense_table_rejected():
+    # The interpolant falls on [lam[1233], lam[1234]], before the peak.
+    lam = np.linspace(2.0, 10.0, 5001)
+    cp = 0.48 * np.exp(-((lam - 7.5) ** 2) / 8.0)
+    cp[1234] = cp[1233] - 1e-7
+    with pytest.raises(CurveError, match="single-peaked"):
+        load_cp_curve(zip(lam, cp))
+
+
+@pytest.mark.parametrize("cp", [
+    [0.5, 0.4, 0.3, 0.2, 0.1],     # peak at the first knot
+    [0.1, 0.2, 0.3, 0.4, 0.5],     # peak at the last knot
+    [0.1, 0.3, 0.5, 0.5, 0.5],     # peak plateau reaching the last knot
+    [0.3, 0.3, 0.3, 0.3, 0.3],     # flat
+], ids=["first", "last", "plateau-to-end", "flat"])
+def test_peak_must_be_interior(cp):
+    with pytest.raises(CurveError, match="not interior"):
+        load_cp_curve(zip(np.arange(2.0, 7.0), cp))
+
+
+def _single_peaked_table(rng, n):
+    """Random rise to an interior peak and fall after it; about one step
+    in five is flat, so plateaus occur on both sides and at the peak."""
+    k = int(rng.integers(1, n - 1))
+    steps = rng.exponential(1.0, n - 1)
+    steps[rng.random(n - 1) < 0.2] = 0.0
+    steps[0] = steps[-1] = 1.0        # the ends stay below the peak
+    cp = np.concatenate([[0.0], np.cumsum(steps[:k])])
+    cp = np.concatenate([cp, cp[-1] - np.cumsum(steps[k:])])
+    cp = 0.01 + 0.5 * (cp - cp.min()) / (cp.max() - cp.min())
+    lam = 1.0 + np.cumsum(rng.uniform(0.01, 1.0, n))
+    return lam, cp
+
+
+def test_peak_is_the_table_maximum_for_random_single_peaked_tables():
+    # PCHIP keeps monotone runs of the data monotone and gives the data
+    # maximum zero slope, so the interpolant peaks at the argmax knot.
+    rng = np.random.default_rng(2021)
+    sizes = [4, 5, 6, 5000] + rng.integers(4, 5001, 36).tolist()
+    for n in sizes:
+        lam, cp = _single_peaked_table(rng, n)
+        curve = load_cp_curve(zip(lam, cp))
+        assert curve.lambda_star == lam[np.argmax(cp)]
+        assert curve.cp_star == cp.max()
+        assert curve.cp_prime(curve.lambda_star) == 0.0
+        dense = np.concatenate([
+            np.linspace(curve.lambda_min, curve.lambda_max, 20001),
+            0.5 * (lam[:-1] + lam[1:])])
+        # The cubic's Horner evaluation may round a few ulps past the
+        # peak value near the peak knot; nothing larger.
+        assert np.max(curve.cp(dense)) <= curve.cp_star * (1.0 + 4e-16)
+
+
 def test_sine_curve_maximizer(sine_curve):
     # Analytic maximum of 0.5 sin(pi (lam-2)/8) is at lam = 6.
     assert sine_curve.lambda_star == pytest.approx(6.0, abs=1e-3)
@@ -51,9 +104,13 @@ def test_array_queries_equal_scalar_queries_bitwise(which, request):
                           curve.lambda_grid])
     for query in (curve.cp, curve.cp_prime, curve.kappa):
         values = query(lam)
-        assert np.array_equal(values, [query(float(x)) for x in lam])
+        scalars = [query(float(x)) for x in lam]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(values, scalars)
         grid = lam[:20000].reshape(-1, 4)
         assert np.array_equal(query(grid), values[:20000].reshape(-1, 4))
+    # The simulator's scalar path gives the query evaluator's bits.
+    assert np.array_equal(curve.cp(lam), [curve._cp_scalar(float(x)) for x in lam])
 
 
 def test_cp_at_maximizer_is_peak(curve):
@@ -78,10 +135,14 @@ def test_cp_rejects_out_of_envelope(curve):
         curve.cp_prime(1.0)
     with pytest.raises(EnvelopeError):
         curve.kappa(curve.lambda_max + 1.0)
+    with pytest.raises(EnvelopeError, match=r"tip-speed ratio 11.0 outside \[2.0, 10.0\]"):
+        curve.cp(np.array([3.0, 11.0, 12.0]))
+    with pytest.raises(EnvelopeError, match="tip-speed ratio nan outside"):
+        curve.cp_prime([3.0, np.nan])
 
 
 def test_cp_prime_zero_at_maximizer(curve):
-    assert abs(curve.cp_prime(curve.lambda_star)) <= 1e-8
+    assert curve.cp_prime(curve.lambda_star) == 0.0
 
 
 def test_cp_prime_sign_pattern(curve):

@@ -54,6 +54,21 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="after the run ends"):
             _scenario(wind_profile=[(0.0, 5.0), (30.0, 7.0)], duration=30.0)
 
+    def test_duration_and_wind_starts_must_be_grid_multiples(self):
+        with pytest.raises(ConfigError,
+                           match="duration 30.005 is not an integer multiple"):
+            _scenario(duration=30.005)
+        with pytest.raises(ConfigError,
+                           match="wind start 10.005 is not an integer multiple"):
+            _scenario(wind_profile=[(0.0, 5.0), (10.005, 7.0)])
+        with pytest.raises(ConfigError, match="wind start 0.04 is not"):
+            _scenario(wind_profile=[(0.0, 5.0), (0.04, 7.0)], dt=0.03,
+                      duration=30.0)
+        # Within 1e-9 relative of a whole step, as for the delay.
+        scn = _scenario(wind_profile=[(0.0, 5.0), (18.6, 7.0)], dt=0.03)
+        assert scn.wind_steps() == [0, 620]
+        assert scn.n_steps() == 1000
+
     def test_delay_must_be_grid_multiple(self):
         with pytest.raises(ConfigError, match="multiple"):
             _scenario(delay_T=0.305)
@@ -99,6 +114,42 @@ class TestScenarioValidation:
         assert wind_at(9.99) == 5.0
         assert wind_at(10.0) == 7.0
         assert wind_at(29.0) == 7.0
+
+
+class TestTimeGrid:
+    # At dt = 0.03, step 620 sits at t = 18.599999999999998, just below the
+    # 18.6 s wind start; plant and classifier both go by the step index.
+    def _trace(self):
+        return run_scenario(make_step_wind_scenario(
+            40, 10, 0, wind_profile=[(0, 7), (18.6, 8)], duration=30, dt=0.03))
+
+    def test_wind_switches_at_the_start_step(self):
+        trace = self._trace()
+        assert trace.t[620] < 18.6
+        assert trace.u_true[619] == 7.0
+        assert trace.u_true[620] == 8.0
+        assert np.array_equal(trace.u_true,
+                              np.repeat([7.0, 8.0], [620, len(trace) - 620]))
+
+    def test_classifier_segments_equal_the_wind_map(self, monkeypatch):
+        trace = self._trace()
+        seen = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def split(self, idx, starts):
+                parts = np.split(idx, starts)
+                seen.extend(parts)
+                return parts
+
+        monkeypatch.setattr(harness, "np", RecordingNumpy())
+        classify_trace(trace)
+        assert len(seen) == 2
+        for idx, level in zip(seen, (7.0, 8.0)):
+            assert np.all(trace.u_true[idx] == level)
+        assert np.array_equal(np.concatenate(seen), np.arange(len(trace)))
 
 
 class TestRunScenario:
@@ -207,7 +258,8 @@ class TestSharedPlant:
             _scenario(duration=10.0, wind_profile=[(0.0, 8.0)]),
             _scenario(duration=20.0),
             _scenario(duration=10.0, dt=0.02),
-            _scenario(duration=10.0, u_guess=6.0, gamma=80.0),
+            dataclasses.replace(_scenario(duration=10.0, gamma=80.0),
+                                initial_u_guess=6.0),
         ]
         assert len(run_shared_plant([base, others[-1]])) == 2
         for other in others[:-1]:
@@ -546,10 +598,23 @@ class TestCli:
          "delay must be non-negative and finite, got inf"),
         (["margins", "--gamma", "40", "--beta", "inf"],
          "beta must be non-negative and finite, got inf"),
+        # Finite values whose locus overflows, or whose delay phase has no
+        # fractional bits on the grid, are refused without a warning.
+        (["stability", "--gamma", "1e308"],
+         "Nyquist locus of gamma=1e+308, beta=0.0, delay=0.0 is not finite"),
+        (["margins", "--gamma", "1e308", "--delay", "0.3"],
+         "Nyquist locus of gamma=1e+308, beta=0.0, delay=0.3 is not finite"),
+        (["stability", "--gamma", "40", "--delay", "1e300"],
+         "delay 1e+300 is too long"),
+        (["stability", "--gamma", "40", "--delay", "1e13"],
+         "delay 10000000000000.0 is too long"),
+        (["margins", "--gamma", "1e200", "--delay", "0.3"], "distance minimum"),
     ], ids=["margins-gamma-0", "margins-gamma-negative", "stability-gamma-0",
             "stability-delay-negative", "stability-grid-coverage",
             "stability-gamma-inf", "stability-beta-inf", "stability-delay-inf",
-            "margins-gamma-inf", "margins-delay-inf", "margins-beta-inf"])
+            "margins-gamma-inf", "margins-delay-inf", "margins-beta-inf",
+            "stability-gamma-huge", "margins-gamma-huge", "stability-delay-huge",
+            "stability-delay-1e13", "margins-gamma-overflowing-margin"])
     def test_impossible_gains_are_a_clean_error(self, tmp_path, capsys,
                                                 recwarn, argv, message):
         if argv[0] == "stability":

@@ -136,10 +136,10 @@ class TestVerdicts:
         # Doubling the frequency resolution moves the reported minimum
         # distance by less than 0.1%.
         circle = case_study_circle()
-        coarse = certify(40.0, 10.0, 0.3, circle,
-                         omega_grid=default_omega_grid(n=4000))
-        fine = certify(40.0, 10.0, 0.3, circle,
-                       omega_grid=default_omega_grid(n=8000))
+        coarse, fine = (
+            distance_criterion(frequency_response(
+                40.0, 10.0, 0.3, default_omega_grid(n=n)), circle)
+            for n in (4000, 8000))
         assert abs(fine.min_distance - coarse.min_distance) <= 1e-3 * coarse.min_distance
 
     def test_scaling_consistency_with_unit_circle(self):
