@@ -12,9 +12,10 @@ no extrapolation.
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.resources
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -36,17 +37,32 @@ _KAPPA_ROOT_TOL = 1e-12
 class CpCurve:
     """Immutable tabulated power coefficient with a C1 interpolant.
 
-    Construct via :func:`load_cp_curve`; the constructor assumes the
-    grid already passed validation.  Everything but the ``(lambda, cp)``
-    table is derived from it, so equality and the hash go by the table.
+    Construct via :func:`load_cp_curve`, which validates the table.  The
+    constructor derives the rest from read-only copies of the table, so
+    equality and the hash go by the table and one curve can be shared.
     """
 
     lambda_grid: np.ndarray
     cp_values: np.ndarray
     lambda_star: float
-    lambda_zero: float
-    _breaks: list = field(repr=False)
-    _coeffs: list = field(repr=False)
+    lambda_zero: float = field(init=False)
+    # PCHIP breaks and Horner coefficients, as floats for _cp_scalar.
+    _breaks: list = field(init=False, repr=False)
+    _coeffs: list = field(init=False, repr=False)
+    _c: np.ndarray = field(init=False, repr=False)  # _coeffs.T, for _cp_array
+
+    def __post_init__(self):
+        lam = np.array(self.lambda_grid, dtype=float)
+        cp = np.array(self.cp_values, dtype=float)
+        pchip = PchipInterpolator(lam, cp, extrapolate=False)
+        for arr in (lam, cp, pchip.c):
+            arr.flags.writeable = False
+        for name, value in (("lambda_grid", lam), ("cp_values", cp),
+                            ("_breaks", pchip.x.tolist()),
+                            ("_coeffs", [tuple(row) for row in pchip.c.T.tolist()]),
+                            ("_c", pchip.c)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "lambda_zero", _find_lambda_zero(self))
 
     def _table(self) -> tuple:
         return self.lambda_grid.tobytes(), self.cp_values.tobytes()
@@ -93,11 +109,11 @@ class CpCurve:
 
     def _cp_array(self, lam: np.ndarray, derivative: bool = False) -> np.ndarray:
         # The query evaluator (see _query); no envelope check.
-        breaks = np.asarray(self._breaks)
+        breaks = self.lambda_grid
         i = np.clip(np.searchsorted(breaks, lam, side="right") - 1,
                     0, breaks.size - 2)
         t = lam - breaks[i]
-        c = np.moveaxis(np.asarray(self._coeffs)[i], -1, 0)
+        c = self._c[:, i]
         if derivative:
             return (3.0 * c[0] * t + 2.0 * c[1]) * t + c[2]
         return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
@@ -144,9 +160,9 @@ def _peak_knot(cp: np.ndarray) -> int:
     return k
 
 
-def _find_lambda_zero(curve: CpCurve, lam_star: float) -> float:
+def _find_lambda_zero(curve: CpCurve) -> float:
     """Largest root of kappa below lambda_star, or lambda_min if kappa > 0 there."""
-    dense = np.linspace(curve.lambda_min, lam_star, 1001)
+    dense = np.linspace(curve.lambda_min, curve.lambda_star, 1001)
     kv = curve.kappa(dense)
     # Scan downward from lambda_star for the first sign change.
     for i in range(dense.size - 2, -1, -1):
@@ -181,18 +197,8 @@ def load_cp_curve(pairs) -> CpCurve:
     if np.any(cp <= 0):
         raise CurveError("power coefficient values must be positive")
 
-    lam_star = float(lam[_peak_knot(cp)])
-    pchip = PchipInterpolator(lam, cp, extrapolate=False)
-
-    curve = CpCurve(
-        lambda_grid=lam.copy(),
-        cp_values=cp.copy(),
-        lambda_star=lam_star,
-        lambda_zero=float(lam[0]),
-        _breaks=pchip.x.tolist(),
-        _coeffs=[tuple(row) for row in pchip.c.T.tolist()],
-    )
-    return replace(curve, lambda_zero=_find_lambda_zero(curve, lam_star))
+    return CpCurve(lambda_grid=lam, cp_values=cp,
+                   lambda_star=float(lam[_peak_knot(cp)]))
 
 
 def read_curve_csv(path) -> CpCurve:
@@ -206,12 +212,14 @@ def read_curve_csv(path) -> CpCurve:
     return load_cp_curve(pairs)
 
 
+@functools.cache
 def default_cp_curve() -> CpCurve:
     """Synthetic single-peak curve shipped with the package.
 
     This is *not* measured turbine data: it is a smooth bell-shaped
     table on lambda in [2, 10] peaking near lambda = 7.5 at about 0.48,
     shaped to resemble a multi-megawatt machine's below-rated curve.
+    Built on the first call; every call returns that one read-only curve.
     """
     ref = importlib.resources.files("rews.data").joinpath("cp_curve_synthetic.csv")
     with importlib.resources.as_file(ref) as path:

@@ -116,6 +116,9 @@ class Scenario:
         if not self.turbine.omega_r_min <= self.initial_omega_r < math.inf:
             raise ConfigError("initial rotor speed must be finite and not "
                               "below the lower bound")
+        if not 0 < self.initial_u_guess < math.inf:
+            raise ConfigError("initial wind speed guess must be positive and "
+                              f"finite, got {float(self.initial_u_guess)}")
 
     def n_steps(self) -> int:
         return _grid_steps(self.duration, self.dt, "duration")
@@ -333,24 +336,15 @@ def make_step_wind_scenario(gamma: float, beta: float, delay_T: float,
                             wind_profile=None,
                             duration: float = _STEP_DURATION,
                             dt: float = _DEFAULT_DT) -> Scenario:
-    """Stepwise-wind scenario with fixture defaults (5/7/9 m/s levels)."""
-    params = default_turbine_params()
-    curve = default_cp_curve()
-    profile = tuple(wind_profile or _STEP_WIND)
-    k_opt = optimal_torque_gain(params, curve)
-    omega0 = steady_state_rotor_speed(params, curve, k_opt, profile[0][1])
-    return Scenario(
-        wind_profile=profile,
-        duration=duration,
-        dt=dt,
-        turbine=params,
-        curve=curve,
-        controller_gain=k_opt,
-        estimator=EstimatorConfig(family=family, gamma=gamma, beta=beta,
-                                  delay_T=delay_T),
-        initial_omega_r=omega0,
-        initial_u_guess=_DEFAULT_U_GUESS,
-    )
+    """Stepwise-wind scenario with fixture defaults (5/7/9 m/s levels): the
+    :func:`scenario_from_json` spec with every other field at its default."""
+    return scenario_from_json({
+        "wind_profile": wind_profile or _STEP_WIND,
+        "duration": duration,
+        "dt": dt,
+        "estimator": {"family": Family(family).value, "gamma": gamma,
+                      "beta": beta, "delay": delay_T},
+    })
 
 
 def _case_row(name: str, trace: SimTrace, circle: CircleSpec) -> dict:
@@ -517,17 +511,10 @@ def scenario_from_json(spec: dict) -> Scenario:
             omega0 = steady_state_rotor_speed(params, curve, k_opt, profile[0][1])
         u_guess = float(initial.get("u_guess", _DEFAULT_U_GUESS))
 
-        return Scenario(
-            wind_profile=tuple(profile),
-            duration=duration,
-            dt=dt,
-            turbine=params,
-            curve=curve,
-            controller_gain=k_opt,
-            estimator=config,
-            initial_omega_r=float(omega0),
-            initial_u_guess=u_guess,
-        )
+        return Scenario(wind_profile=tuple(profile), duration=duration, dt=dt,
+                        turbine=params, curve=curve, controller_gain=k_opt,
+                        estimator=config, initial_omega_r=float(omega0),
+                        initial_u_guess=u_guess)
     except (ConfigError, EnvelopeError, CurveError):
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

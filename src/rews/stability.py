@@ -120,7 +120,8 @@ def compute_sector_bounds(params: TurbineParams, curve: CpCurve,
     if not mask.any():
         raise EnvelopeError("operating grid lies entirely outside the curve envelope")
 
-    cp = np.where(mask, curve._cp_array(np.clip(lam, curve.lambda_min, curve.lambda_max)), np.nan)
+    cp = np.full(lam.shape, np.nan)
+    cp[mask] = curve.cp(lam[mask])
     slope = (params.phi_coefficient
              * np.outer(1.0 / omegas, us ** 2) * cp)
     k1 = float(np.nanmin(slope))

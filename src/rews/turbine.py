@@ -126,8 +126,9 @@ def phi_clamped(params: TurbineParams, curve: CpCurve,
     Used on the estimator feedback path so diverging configurations can
     run to completion instead of crashing: a feedback sample whose
     tip-speed ratio would leave the curve envelope is clamped to the
-    wind speed at the nearest envelope edge (saturating the
-    nonlinearity, monotone in ``u``).  Returns ``(value, clamped_flag)``.
+    wind speed at the nearest envelope edge (saturating the nonlinearity,
+    which increases in ``u`` only while the tip-speed ratio stays above
+    ``curve.lambda_zero``, where kappa > 0).  Returns ``(value, clamped_flag)``.
     """
     if omega_r < params.omega_r_min:
         raise EnvelopeError(

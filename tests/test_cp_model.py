@@ -248,7 +248,8 @@ def test_csv_round_trip_bit_exact(tmp_path, curve):
 
 
 def test_equality_and_hash_go_by_the_table():
-    a, b = default_cp_curve(), default_cp_curve()
+    a = default_cp_curve()
+    b = load_cp_curve(zip(a.lambda_grid, a.cp_values))
     assert a is not b
     assert a == b
     assert hash(a) == hash(b)
@@ -257,6 +258,14 @@ def test_equality_and_hash_go_by_the_table():
     other = load_cp_curve(zip(a.lambda_grid, cp))
     assert other != a
     assert a != "curve"
+
+
+def test_default_curve_is_one_read_only_curve():
+    curve = default_cp_curve()
+    assert default_cp_curve() is curve
+    for table in (curve.lambda_grid, curve.cp_values):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
 
 
 def test_csv_bad_header_rejected(tmp_path):

@@ -18,6 +18,7 @@ from rews.harness import (_CSV_CHUNK, CASE_STUDIES, Scenario, SimTrace,
 from rews.stability import certify
 from rews.turbine import rk4_plant_step
 from rews.cli import main as cli_main
+from rews.cp_model import load_cp_curve
 
 
 def _scenario(**overrides):
@@ -96,7 +97,9 @@ class TestScenarioValidation:
 
     def test_scenarios_compare_and_hash(self):
         a = make_step_wind_scenario(40, 10, 0.3)
-        b = make_step_wind_scenario(40, 10, 0.3)
+        # The same table, built into a second curve object.
+        curve = load_cp_curve(zip(a.curve.lambda_grid, a.curve.cp_values))
+        b = dataclasses.replace(a, curve=curve)
         assert a.curve is not b.curve
         assert a == b
         assert hash(a) == hash(b)
@@ -407,6 +410,28 @@ class TestScenarioFromJson:
     def test_malformed_rejected(self):
         with pytest.raises(ConfigError, match="malformed"):
             scenario_from_json({"duration": 30.0})
+
+    @pytest.mark.parametrize("family, beta", [
+        (Family.IANDI, 0.0), (Family.EQUIV_P, 0.0), (Family.PI, 10.0)])
+    def test_step_wind_scenario_is_the_spec_with_defaults(self, family, beta):
+        profile = [(0.0, 6.0), (12.0, 8.5)]
+        built = make_step_wind_scenario(40.0, beta, 0.3, family=family,
+                                        wind_profile=profile, duration=24.0,
+                                        dt=0.02)
+        spec = {"wind_profile": [list(seg) for seg in profile],
+                "duration": 24.0, "dt": 0.02, "turbine": "default",
+                "cp_curve": "default", "controller_gain": "optimal",
+                "estimator": {"family": family.value, "gamma": 40.0,
+                              "beta": beta, "delay": 0.3},
+                "initial": {"omega_r": "steady", "u_guess": 8.0}}
+        assert built == scenario_from_json(spec)
+
+    @pytest.mark.parametrize("guess", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_initial_guess_refused_when_built(self, guess):
+        spec = {"wind_profile": [[0.0, 7.0]], "duration": 30.0,
+                "estimator": {"gamma": 40.0}, "initial": {"u_guess": guess}}
+        with pytest.raises(ConfigError, match="initial wind speed guess"):
+            scenario_from_json(spec)
 
     def test_validation_errors_keep_their_type(self, tmp_path):
         # Well-formed fields that fail validation are not parsing errors.
