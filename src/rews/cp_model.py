@@ -1,12 +1,20 @@
 """Power coefficient curve C_p(lambda) and shape-derived quantities.
 
-The curve is tabulated over tip-speed ratio and interpolated with a
-monotone-preserving cubic (PCHIP).  PCHIP keeps every monotone run of the
-table monotone and gives a data maximum zero slope (Fritsch & Carlson,
-SIAM J. Numer. Anal. 17, 1980), so the interpolant has one peak exactly
-when the table does, and the peak is the table's largest knot.  All
-queries outside the tabulated tip-speed-ratio envelope are hard errors;
-no extrapolation.
+The curve is tabulated over tip-speed ratio and interpolated with the
+package's own monotone-preserving cubic (PCHIP): weighted-harmonic
+interior slopes (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980) and
+the one-sided three-point endpoint rule (Moler, *Numerical Computing
+with MATLAB*, 2004, section 3.6).  The fit repeats the operations of
+SciPy's ``PchipInterpolator``, so its coefficients equal SciPy's bit for
+bit.  PCHIP keeps every monotone run of the table monotone and gives a
+data maximum zero slope, so the interpolant has one peak exactly when
+the table does, and the peak is the table's largest knot.  All queries
+outside the tabulated tip-speed-ratio envelope are hard errors; no
+extrapolation.
+
+Roots (the kappa zero here, the steady-state rotor speed in
+:mod:`rews.turbine`) come from :func:`_brentq`, a port of the Brent
+solver behind SciPy's ``brentq`` that returns the same double.
 """
 
 from __future__ import annotations
@@ -14,12 +22,11 @@ from __future__ import annotations
 import csv
 import functools
 import importlib.resources
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .exceptions import CurveError, EnvelopeError
 
@@ -31,6 +38,9 @@ __all__ = [
 ]
 
 _KAPPA_ROOT_TOL = 1e-12
+# SciPy's brentq defaults: rtol = 4 eps, 100 iterations.
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +56,8 @@ class CpCurve:
     cp_values: np.ndarray
     lambda_star: float
     lambda_zero: float = field(init=False)
-    # PCHIP breaks and Horner coefficients, as floats for _cp_scalar.
+    # The grid and the Horner coefficients per segment, as floats for
+    # _cp_scalar.
     _breaks: list = field(init=False, repr=False)
     _coeffs: list = field(init=False, repr=False)
     _c: np.ndarray = field(init=False, repr=False)  # _coeffs.T, for _cp_array
@@ -54,13 +65,13 @@ class CpCurve:
     def __post_init__(self):
         lam = np.array(self.lambda_grid, dtype=float)
         cp = np.array(self.cp_values, dtype=float)
-        pchip = PchipInterpolator(lam, cp, extrapolate=False)
-        for arr in (lam, cp, pchip.c):
+        c = _pchip_coefficients(lam, cp)
+        for arr in (lam, cp, c):
             arr.flags.writeable = False
         for name, value in (("lambda_grid", lam), ("cp_values", cp),
-                            ("_breaks", pchip.x.tolist()),
-                            ("_coeffs", [tuple(row) for row in pchip.c.T.tolist()]),
-                            ("_c", pchip.c)):
+                            ("_breaks", lam.tolist()),
+                            ("_coeffs", [tuple(row) for row in c.T.tolist()]),
+                            ("_c", c)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "lambda_zero", _find_lambda_zero(self))
 
@@ -145,6 +156,105 @@ class CpCurve:
         return self._cp_scalar(self.lambda_star)
 
 
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Horner coefficients, shape (4, n - 1), of the PCHIP fit through
+    ``n >= 3`` knots; segment ``i`` is ``((c0 t + c1) t + c2) t + c3`` with
+    ``t = lambda - x[i]``.  Operation for operation SciPy's
+    ``PchipInterpolator``, so every coefficient is the same double."""
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    # Interior slopes: zero where the neighbouring secants differ in sign
+    # or either is flat, else their weighted harmonic mean.
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.concatenate(([_pchip_end_slope(h[0], h[1], m[0], m[1])],
+                            np.where(flat, 0.0, 1.0 / whmean),
+                            [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    # One-sided three-point slope, kept from overshooting: zero if it
+    # opposes the end secant, at most 3 m0 where the secants turn.
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` in ``[a, b]`` by Brent's method.
+
+    A port of the C solver behind SciPy's ``brentq`` at its
+    default ``rtol`` and iteration limit: the same steps on the same
+    doubles, so the same root.  Raises ValueError for an ``xtol`` that is
+    not positive, a bracket whose ends do not differ in sign or a NaN
+    value of ``f``, and RuntimeError if it has not converged after 100
+    iterations.
+    """
+    if not xtol > 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    # xcur is the best estimate, xpre the previous one, and xblk the
+    # contrapoint: f(xblk) and f(xcur) differ in sign.
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # take the interpolation step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
 def _peak_knot(cp: np.ndarray) -> int:
     """Index of the table's peak; CurveError unless the table rises to an
     interior maximum and falls after it (plateaus allowed)."""
@@ -167,8 +277,8 @@ def _find_lambda_zero(curve: CpCurve) -> float:
     # Scan downward from lambda_star for the first sign change.
     for i in range(dense.size - 2, -1, -1):
         if kv[i] <= 0.0 < kv[i + 1]:
-            return float(brentq(curve.kappa, dense[i], dense[i + 1],
-                                xtol=_KAPPA_ROOT_TOL))
+            return _brentq(curve.kappa, dense[i], dense[i + 1],
+                           _KAPPA_ROOT_TOL)
         if kv[i] == 0.0:
             return float(dense[i])
     return curve.lambda_min

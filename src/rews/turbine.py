@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
-from .cp_model import CpCurve
+from .cp_model import CpCurve, _brentq
 from .exceptions import ConfigError, EnvelopeError
 
 __all__ = [
@@ -191,7 +189,7 @@ def steady_state_rotor_speed(params: TurbineParams, curve: CpCurve,
     if r_lo < 0 or residual(hi) > 0:
         raise EnvelopeError(
             "no stable torque balance inside the tip-speed-ratio envelope")
-    return float(brentq(residual, lo, hi, xtol=1e-12))
+    return _brentq(residual, lo, hi, 1e-12)
 
 
 def rk4_plant_step(params: TurbineParams, curve: CpCurve, omega_r: float,

@@ -1,9 +1,12 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from rews.cp_model import default_cp_curve, load_cp_curve, read_curve_csv
+from rews import cp_model, turbine
+from rews.cp_model import (_brentq, _pchip_coefficients, default_cp_curve,
+                           load_cp_curve, read_curve_csv)
 from rews.exceptions import CurveError, EnvelopeError
 
 from conftest import sine_cp
@@ -280,3 +283,123 @@ def test_default_curve_envelope(curve):
     assert curve.lambda_max == 10.0
     assert curve.lambda_star == pytest.approx(7.5, abs=0.05)
     assert curve.cp_star == pytest.approx(0.48, abs=0.01)
+
+
+def _pchip_tables():
+    """The shipped table, then seeded random ones: 4 to 40 knots, uniform
+    and non-uniform spacing, plateaus, and end secants that change sign
+    (both overshoot branches of the endpoint rule)."""
+    curve = default_cp_curve()
+    yield curve.lambda_grid, curve.cp_values
+    rng = np.random.default_rng(1980)
+    for k in range(400):
+        n = 4 if k % 4 == 0 else int(rng.integers(5, 41))
+        lam = (np.linspace(2.0, 10.0, n) if k % 2
+               else 1.0 + np.cumsum(rng.uniform(0.01, 2.0, n)))
+        cp = rng.normal(size=n)
+        if k % 3 == 0:
+            cp[rng.integers(0, n, n // 2)] = cp[1]  # plateaus
+        yield lam, cp
+
+
+def test_pchip_coefficients_equal_scipy_bitwise():
+    PchipInterpolator = pytest.importorskip("scipy.interpolate").PchipInterpolator
+    for lam, cp in _pchip_tables():
+        ours = _pchip_coefficients(lam, cp)
+        assert ours.tobytes() == PchipInterpolator(lam, cp).c.tobytes(), (lam, cp)
+    curve = default_cp_curve()
+    assert curve._c.tobytes() == PchipInterpolator(
+        curve.lambda_grid, curve.cp_values).c.tobytes()
+
+
+def _scipy_brentq():
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    calls = []
+
+    def reference(f, a, b, xtol):
+        calls.append((a, b))
+        return float(brentq(f, a, b, xtol=xtol))
+    return reference, calls
+
+
+_BRENT_FUNCTIONS = [
+    lambda x: x ** 3 - 2.0 * x - 5.0,
+    lambda x: math.cos(x) - x,
+    lambda x: (x - 1.3) ** 3,
+    lambda x: 1e-8 * math.atan(x - 0.7),
+    lambda x: math.sin(5.0 * x) + 0.1,
+    lambda x: 1.0 if x > 0.3 else -1.0,
+]
+
+
+@pytest.mark.parametrize("xtol", [1e-12, 1e-6])
+def test_brentq_equals_scipy_bitwise(xtol):
+    reference, _ = _scipy_brentq()
+    rng = np.random.default_rng(2)
+    compared = 0
+    for _ in range(200):
+        for f in _BRENT_FUNCTIONS:
+            a, b = sorted(rng.uniform(-5.0, 5.0, 2).tolist())
+            if (f(a) < 0) == (f(b) < 0):
+                continue
+            assert (_outcome(lambda: _brentq(f, a, b, xtol))
+                    == _outcome(lambda: reference(f, a, b, xtol))), (a, b)
+            compared += 1
+    assert compared > 300
+
+
+def _outcome(solve):
+    # The root's bits, or the message of a failure to converge (the triple
+    # root of (x - 1.3)^3 stalls both solvers at 1e-12).
+    try:
+        return solve().hex()
+    except RuntimeError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("which", ["curve", "sine_curve", "bell"])
+def test_lambda_zero_equals_scipy_bitwise(which, request, monkeypatch):
+    if which == "bell":  # the table of test_lambda_zero_known_root
+        lam = np.linspace(2.0, 10.0, 321)
+        table = lam, 0.48 * np.exp(-((lam - 7.5) ** 2) / (2 * 14.0 / 3.0))
+    else:
+        curve = request.getfixturevalue(which)
+        table = curve.lambda_grid, curve.cp_values
+    ours = load_cp_curve(zip(*table)).lambda_zero
+    reference, calls = _scipy_brentq()
+    monkeypatch.setattr(cp_model, "_brentq", reference)
+    assert ours.hex() == load_cp_curve(zip(*table)).lambda_zero.hex()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("u", [4.0, 7.0, 11.0])
+def test_steady_state_rotor_speed_equals_scipy_bitwise(u, curve, params,
+                                                       monkeypatch):
+    k = turbine.optimal_torque_gain(params, curve)
+    ours = turbine.steady_state_rotor_speed(params, curve, k, u)
+    reference, calls = _scipy_brentq()
+    monkeypatch.setattr(turbine, "_brentq", reference)
+    assert ours.hex() == turbine.steady_state_rotor_speed(params, curve, k, u).hex()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("xtol", [0.0, -1e-12, math.nan])
+def test_brentq_rejects_nonpositive_xtol(xtol):
+    with pytest.raises(ValueError, match="xtol too small"):
+        _brentq(lambda x: x, -1.0, 1.0, xtol)
+
+
+def test_brentq_rejects_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+
+def test_brentq_names_x_where_the_function_is_nan():
+    with pytest.raises(ValueError, match=r"at x=0\.5 is NaN"):
+        _brentq(lambda x: math.nan if x == 0.5 else x - 0.25, -1.0, 0.5, 1e-12)
+
+
+def test_brentq_raises_when_not_converged():
+    # A sign step forces bisection, which needs ~1000 halvings here.
+    with pytest.raises(RuntimeError, match="converge after 100 iterations"):
+        _brentq(lambda x: 1.0 if x > 0.5 else -1.0, -1e300, 1e300, 1e-12)

@@ -2,10 +2,15 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rews
 from rews import harness, stability
 from rews.estimators import Family, init_estimator, step_estimator
 from rews.exceptions import ConfigError, CurveError, EnvelopeError
@@ -658,3 +663,28 @@ class TestCli:
                        "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_scipy():
+    # The package's runtime needs only numpy; SciPy serves the tests and
+    # the benchmark.  A fresh interpreter that builds the default model,
+    # runs a short scenario and certifies it must not have loaded SciPy.
+    code = (
+        "import sys\n"
+        "import rews\n"
+        "from rews import harness, stability\n"
+        "rews.default_cp_curve()\n"
+        "rews.default_turbine_params()\n"
+        "scn = harness.make_step_wind_scenario(40.0, 10.0, 0.3, duration=2.0,\n"
+        "                                      wind_profile=[(0.0, 7.0)])\n"
+        "harness.run_scenario(scn)\n"
+        "stability.certify(40.0, 10.0, 0.3, harness.case_study_circle())\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(pathlib.Path(rews.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "[]", out.stdout
