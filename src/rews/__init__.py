@@ -5,7 +5,8 @@ Building blocks:
 * :mod:`rews.cp_model` -- tabulated power coefficient and shape queries
 * :mod:`rews.turbine` -- drivetrain constants, nonlinearity, RK4 plant step
 * :mod:`rews.estimators` -- internal-state, proportional, and PI estimators
-* :mod:`rews.stability` -- sector bounds, forbidden circle, distance criterion
+* :mod:`rews.stability` -- forbidden circle from given sector slopes,
+  distance criterion, margins
 * :mod:`rews.harness` -- shared plant pass, case studies, file emission
 """
 
@@ -13,8 +14,7 @@ from .cp_model import CpCurve, default_cp_curve, load_cp_curve, read_curve_csv
 from .estimators import EstimatorConfig, EstimatorState, Family, init_estimator
 from .harness import (Scenario, SimTrace, classify_trace, make_step_wind_scenario,
                       run_case_studies, run_scenario, run_shared_plant)
-from .stability import (CircleSpec, SectorBounds, certify, circle_from_gains,
-                        circle_from_sector, compute_sector_bounds,
+from .stability import (CircleSpec, certify, circle_from_gains,
                         distance_criterion, frequency_response,
                         max_stable_beta, max_stable_delay)
 from .turbine import (TurbineParams, default_turbine_params, phi, phi_prime_u,

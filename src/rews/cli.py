@@ -77,8 +77,11 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "simulate":
-        with open(args.scenario, encoding="utf-8") as fh:
-            spec = json.load(fh)
+        try:
+            with open(args.scenario, encoding="utf-8") as fh:
+                spec = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"{args.scenario}: not a JSON scenario file: {exc}") from exc
         scn = harness.scenario_from_json(spec)
         circle = stability.circle_from_gains(args.k1, args.k2)
         trace = harness.run_scenario(scn)

@@ -55,6 +55,8 @@ class CpCurve:
     lambda_grid: np.ndarray
     cp_values: np.ndarray
     lambda_star: float
+    lambda_min: float = field(init=False)  # the grid's ends as Python floats
+    lambda_max: float = field(init=False)
     lambda_zero: float = field(init=False)
     # The grid and the Horner coefficients per segment, as floats for
     # _cp_scalar.
@@ -73,6 +75,8 @@ class CpCurve:
                             ("_coeffs", [tuple(row) for row in c.T.tolist()]),
                             ("_c", c)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "lambda_min", self._breaks[0])
+        object.__setattr__(self, "lambda_max", self._breaks[-1])
         object.__setattr__(self, "lambda_zero", _find_lambda_zero(self))
 
     def _table(self) -> tuple:
@@ -85,15 +89,6 @@ class CpCurve:
 
     def __hash__(self):
         return hash(self._table())
-
-    # The interpolant's breaks are the grid as Python floats.
-    @property
-    def lambda_min(self) -> float:
-        return self._breaks[0]
-
-    @property
-    def lambda_max(self) -> float:
-        return self._breaks[-1]
 
     def _check_envelope(self, lam) -> None:
         """Raise EnvelopeError naming the first tip-speed ratio in ``lam``

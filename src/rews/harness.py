@@ -37,7 +37,6 @@ __all__ = [
     "run_case_studies",
     "classify_trace",
     "case_study_circle",
-    "default_sector_bounds",
     "make_step_wind_scenario",
     "scenario_from_json",
     "write_trace_csv",
@@ -314,21 +313,6 @@ def classify_trace(trace: SimTrace) -> str:
 def case_study_circle() -> CircleSpec:
     """Forbidden disk from the fixed case-study sector slopes."""
     return circle_from_gains(CASE_STUDY_K1, CASE_STUDY_K2)
-
-
-def default_sector_bounds(params: TurbineParams, curve: CpCurve,
-                          k_opt: float = None) -> stability.SectorBounds:
-    """Sector bounds over the default below-rated operating envelope.
-
-    Wind 4..11 m/s; rotor speed range from the torque law's steady-state
-    map at the envelope edges; 200x200 grid.
-    """
-    if k_opt is None:
-        k_opt = optimal_torque_gain(params, curve)
-    w_lo = steady_state_rotor_speed(params, curve, k_opt, 4.0)
-    w_hi = steady_state_rotor_speed(params, curve, k_opt, 11.0)
-    return stability.compute_sector_bounds(
-        params, curve, (w_lo, w_hi), (4.0, 11.0), grid_n=200)
 
 
 def make_step_wind_scenario(gamma: float, beta: float, delay_T: float,

@@ -5,7 +5,9 @@ The loop is a Lur'e interconnection: the linear correction dynamics
 the sector-bounded torque nonlinearity.  Convergence is certified when
 the Nyquist locus of G stays outside the disk whose real-axis diameter
 runs from -1/k1 to -1/k2; numerically this is checked as a minimum
-distance from the disk center exceeding its radius.  The criterion is
+distance from the disk center exceeding its radius.  The sector slopes
+k1, k2 are inputs (``harness`` holds the fixed case-study pair); the
+module does not derive them from the turbine model.  The criterion is
 sufficient only: a refusal does not prove divergence.  The module is pure
 analysis and does no file I/O; ``harness`` writes its artifacts.
 
@@ -20,18 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp_model import CpCurve
 from .estimators import check_gains
-from .exceptions import ConfigError, EnvelopeError, GridCoverageError
-from .turbine import TurbineParams
+from .exceptions import ConfigError, GridCoverageError
 
 __all__ = [
-    "SectorBounds",
     "CircleSpec",
     "FrequencyResponse",
     "DistanceVerdict",
-    "compute_sector_bounds",
-    "circle_from_sector",
     "circle_from_gains",
     "frequency_response",
     "default_omega_grid",
@@ -41,27 +38,10 @@ __all__ = [
     "max_stable_delay",
 ]
 
-# Relative safety margin applied outward to raw sector extrema.
-_SECTOR_MARGIN = 0.01
 _GRID_LO = 1e-3
 _GRID_HI = 1e3
 _GRID_N = 4000
 _MAX_WIDENINGS = 3
-
-
-@dataclass(frozen=True)
-class SectorBounds:
-    """Sector slopes bounding the nonlinearity: k1*U <= Phi <= k2*U."""
-
-    k1: float
-    k2: float
-    omega_r_range: tuple
-    u_range: tuple
-    grid_n: int
-
-    def __post_init__(self):
-        if not (0 < self.k1 < self.k2):
-            raise ConfigError(f"need 0 < k1 < k2, got ({self.k1!r}, {self.k2!r})")
 
 
 @dataclass(frozen=True)
@@ -97,57 +77,13 @@ class DistanceVerdict:
     argmin_omega: float
 
 
-def compute_sector_bounds(params: TurbineParams, curve: CpCurve,
-                          omega_r_range, u_range, grid_n: int = 200) -> SectorBounds:
-    """Extremize s(omega_r, U) = Phi/U over a rectangular operating grid.
-
-    Grid points whose tip-speed ratio leaves the curve envelope are
-    skipped; the raw extrema get a 1% outward safety margin.
-    """
-    w_lo, w_hi = map(float, omega_r_range)
-    u_lo, u_hi = map(float, u_range)
-    if not (w_lo <= w_hi and u_lo <= u_hi):
-        raise ConfigError("ranges must be ordered (low, high)")
-    if w_lo < params.omega_r_min:
-        raise EnvelopeError("rotor speed range starts below the lower bound")
-    if u_lo <= 0:
-        raise EnvelopeError("wind speed range must be positive")
-
-    omegas = np.linspace(w_lo, w_hi, grid_n)
-    us = np.linspace(u_lo, u_hi, grid_n)
-    lam = np.outer(omegas, 1.0 / us) * params.rotor_radius
-    mask = (lam >= curve.lambda_min) & (lam <= curve.lambda_max)
-    if not mask.any():
-        raise EnvelopeError("operating grid lies entirely outside the curve envelope")
-
-    cp = np.full(lam.shape, np.nan)
-    cp[mask] = curve.cp(lam[mask])
-    slope = (params.phi_coefficient
-             * np.outer(1.0 / omegas, us ** 2) * cp)
-    k1 = float(np.nanmin(slope))
-    k2 = float(np.nanmax(slope))
-    if not k2 > k1:
-        raise ConfigError("degenerate sector: operating grid gives k1 == k2")
-    return SectorBounds(
-        k1=k1 * (1.0 - _SECTOR_MARGIN),
-        k2=k2 * (1.0 + _SECTOR_MARGIN),
-        omega_r_range=(w_lo, w_hi),
-        u_range=(u_lo, u_hi),
-        grid_n=grid_n,
-    )
-
-
 def circle_from_gains(k1: float, k2: float) -> CircleSpec:
     """Closed-form disk from sector slopes; diameter [-1/k1, -1/k2]."""
-    if k1 <= 0 or k2 < k1:
-        raise ConfigError(f"need 0 < k1 <= k2, got ({k1!r}, {k2!r})")
+    if not 0 < k1 <= k2 < np.inf:  # also refuses NaN
+        raise ConfigError(f"need 0 < k1 <= k2 < inf, got k1={k1!r}, k2={k2!r}")
     center = -(k2 + k1) / (2.0 * k1 * k2)
     radius = (k2 - k1) / (2.0 * k1 * k2)
     return CircleSpec(center=center, radius=radius)
-
-
-def circle_from_sector(bounds: SectorBounds) -> CircleSpec:
-    return circle_from_gains(bounds.k1, bounds.k2)
 
 
 def default_omega_grid(lo: float = _GRID_LO, hi: float = _GRID_HI,

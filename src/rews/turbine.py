@@ -8,7 +8,7 @@ integrated with a classical fixed-step 4th-order Runge-Kutta scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cp_model import CpCurve, _brentq
 from .exceptions import ConfigError, EnvelopeError
@@ -40,6 +40,7 @@ class TurbineParams:
     swept_area: float = None   # A = pi R^2; computed when omitted
     inertia_equivalent: float = None  # J = J_g + J_r / N^2; computed when omitted
     omega_r_min: float = 0.1   # lower rotor-speed bound, rad/s
+    phi_coefficient: float = field(init=False)  # rho A / (2 N J), phi's prefactor
 
     def __post_init__(self):
         for name in ("rho", "rotor_radius", "gear_ratio",
@@ -56,13 +57,9 @@ class TurbineParams:
             object.__setattr__(self, "inertia_equivalent", j_eq)
         elif abs(self.inertia_equivalent - j_eq) > _REL_TOL * j_eq:
             raise ConfigError("inertia_equivalent inconsistent with J_g + J_r / N^2")
-
-    @property
-    def phi_coefficient(self) -> float:
-        """rho * A / (2 N J), the prefactor of the nonlinearity."""
-        return self.rho * self.swept_area / (
+        object.__setattr__(self, "phi_coefficient", self.rho * self.swept_area / (
             2.0 * self.gear_ratio * self.inertia_equivalent
-        )
+        ))
 
 
 def default_turbine_params() -> TurbineParams:

@@ -13,8 +13,8 @@ import pytest
 from rews.cp_model import default_cp_curve
 from rews.estimators import Family
 from rews.harness import (CASE_STUDIES, case_study_circle, classify_trace,
-                          default_sector_bounds, make_step_wind_scenario,
-                          run_case_studies, run_scenario)
+                          make_step_wind_scenario, run_case_studies,
+                          run_scenario)
 from rews.stability import (certify, circle_from_gains, default_omega_grid,
                             distance_criterion, frequency_response,
                             max_stable_beta, max_stable_delay)
@@ -106,22 +106,6 @@ def test_criterion_6_delay_margin(case_report):
         assert not certify(40.0, 10.0, t_max + 0.01, circle).certified
         assert (t_max < 2.0
                 or case_report["delay_margin"]["inconsistent_with_case6"])
-
-
-def test_criterion_7_sector_property():
-    with criterion(7, "sector slopes bound the nonlinearity on the envelope"):
-        params = default_turbine_params()
-        curve = default_cp_curve()
-        bounds = default_sector_bounds(params, curve)
-        w_lo, w_hi = bounds.omega_r_range
-        u_lo, u_hi = bounds.u_range
-        for w in np.linspace(w_lo, w_hi, 200):
-            for u in np.linspace(u_lo, u_hi, 200):
-                lam = w * params.rotor_radius / u
-                if not (curve.lambda_min <= lam <= curve.lambda_max):
-                    continue
-                val = phi(params, curve, w, u)
-                assert bounds.k1 * u <= val <= bounds.k2 * u
 
 
 def test_criterion_8_monotonicity():

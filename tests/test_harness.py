@@ -639,12 +639,23 @@ class TestCli:
         (["stability", "--gamma", "40", "--delay", "1e13"],
          "delay 10000000000000.0 is too long"),
         (["margins", "--gamma", "1e200", "--delay", "0.3"], "distance minimum"),
+        # Non-finite sector slopes are named, not left to the grid search.
+        (["stability", "--gamma", "40", "--beta", "10", "--delay", "0.3",
+          "--k1", "nan"], "need 0 < k1 <= k2 < inf, got k1=nan, k2=0.095"),
+        (["stability", "--gamma", "40", "--beta", "10", "--delay", "0.3",
+          "--k2", "nan"], "need 0 < k1 <= k2 < inf, got k1=0.016, k2=nan"),
+        (["stability", "--gamma", "40", "--beta", "10", "--delay", "0.3",
+          "--k2", "inf"], "need 0 < k1 <= k2 < inf, got k1=0.016, k2=inf"),
+        (["margins", "--gamma", "40", "--delay", "0.3", "--k1", "nan"],
+         "need 0 < k1 <= k2 < inf, got k1=nan, k2=0.095"),
     ], ids=["margins-gamma-0", "margins-gamma-negative", "stability-gamma-0",
             "stability-delay-negative", "stability-grid-coverage",
             "stability-gamma-inf", "stability-beta-inf", "stability-delay-inf",
             "margins-gamma-inf", "margins-delay-inf", "margins-beta-inf",
             "stability-gamma-huge", "margins-gamma-huge", "stability-delay-huge",
-            "stability-delay-1e13", "margins-gamma-overflowing-margin"])
+            "stability-delay-1e13", "margins-gamma-overflowing-margin",
+            "stability-k1-nan", "stability-k2-nan", "stability-k2-inf",
+            "margins-k1-nan"])
     def test_impossible_gains_are_a_clean_error(self, tmp_path, capsys,
                                                 recwarn, argv, message):
         if argv[0] == "stability":
@@ -663,6 +674,29 @@ class TestCli:
                        "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b'{"wind_profile": [[0, 5]],', b"\xff\xfe"],
+                             ids=["truncated", "not-utf8"])
+    def test_scenario_file_not_json_is_a_clean_error(self, tmp_path, capsys,
+                                                     content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        rc = cli_main(["simulate", "--scenario", str(bad),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: not a JSON scenario file")
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_refuses_nan_slope_before_running(self, tmp_path, capsys):
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({"wind_profile": [[0.0, 7.0]], "duration": 1.0,
+                                   "estimator": {"family": "pi", "gamma": 40.0}}))
+        rc = cli_main(["simulate", "--scenario", str(scn), "--k1", "nan",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: need 0 < k1 <= k2 < inf")
+        assert not (tmp_path / "o").exists()
 
 
 def test_runtime_imports_no_scipy():

@@ -4,12 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from rews.exceptions import ConfigError, EnvelopeError, GridCoverageError
-from rews.harness import (case_study_circle, default_sector_bounds,
-                          emit_certificate)
-from rews.stability import (CircleSpec, DistanceVerdict, SectorBounds,
-                            certify, circle_from_gains, circle_from_sector,
-                            compute_sector_bounds, default_omega_grid,
+from rews.exceptions import ConfigError, GridCoverageError
+from rews.harness import case_study_circle, emit_certificate
+from rews.stability import (CircleSpec, DistanceVerdict, certify,
+                            circle_from_gains, default_omega_grid,
                             distance_criterion, frequency_response,
                             max_stable_beta, max_stable_delay)
 
@@ -40,6 +38,10 @@ class TestCircleGeometry:
             circle_from_gains(0.0, 0.1)
         with pytest.raises(ConfigError):
             circle_from_gains(0.1, 0.05)
+        for k1, k2 in [(math.nan, 0.1), (0.016, math.nan), (0.016, math.inf),
+                       (math.inf, math.inf), (math.nan, math.nan)]:
+            with pytest.raises(ConfigError, match=f"k1={k1!r}, k2={k2!r}"):
+                circle_from_gains(k1, k2)
 
 
 class TestFrequencyResponse:
@@ -231,51 +233,6 @@ class TestMargins:
             answered += 1
             assert at(m) and not at(m * (1 + 1e-9))
         assert answered >= 50
-
-
-class TestSectorBounds:
-    def test_invariants(self):
-        b = SectorBounds(k1=0.01, k2=0.1, omega_r_range=(0.4, 1.2),
-                         u_range=(4.0, 11.0), grid_n=10)
-        assert b.k1 < b.k2
-        with pytest.raises(ConfigError):
-            SectorBounds(k1=0.1, k2=0.01, omega_r_range=(0.4, 1.2),
-                         u_range=(4.0, 11.0), grid_n=10)
-        with pytest.raises(ConfigError):
-            SectorBounds(k1=0.0, k2=0.01, omega_r_range=(0.4, 1.2),
-                         u_range=(4.0, 11.0), grid_n=10)
-
-    def test_bounds_actually_bound_phi(self, params, curve):
-        from rews.turbine import phi
-        bounds = default_sector_bounds(params, curve)
-        rng = np.random.default_rng(3)
-        checked = 0
-        while checked < 200:
-            w = rng.uniform(*bounds.omega_r_range)
-            u = rng.uniform(*bounds.u_range)
-            lam = w * params.rotor_radius / u
-            if not (curve.lambda_min <= lam <= curve.lambda_max):
-                continue
-            val = phi(params, curve, w, u)
-            assert bounds.k1 * u <= val <= bounds.k2 * u
-            checked += 1
-
-    def test_default_envelope_same_order_as_reference(self, params, curve):
-        # The locally derived slopes must agree with the fixed reference
-        # pair (0.016, 0.095) to within an order of magnitude.
-        bounds = default_sector_bounds(params, curve)
-        assert 0.016 / 10 <= bounds.k1 <= 0.016 * 10
-        assert 0.095 / 10 <= bounds.k2 <= 0.095 * 10
-
-    def test_empty_grid_rejected(self, params, curve):
-        with pytest.raises(EnvelopeError):
-            compute_sector_bounds(params, curve, (50.0, 60.0), (4.0, 11.0))
-
-    def test_bad_ranges_rejected(self, params, curve):
-        with pytest.raises(ConfigError):
-            compute_sector_bounds(params, curve, (1.2, 0.4), (4.0, 11.0))
-        with pytest.raises(EnvelopeError):
-            compute_sector_bounds(params, curve, (0.4, 1.2), (-1.0, 11.0))
 
 
 class TestExports:
