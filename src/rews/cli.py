@@ -80,7 +80,7 @@ def _dispatch(args) -> int:
         try:
             with open(args.scenario, encoding="utf-8") as fh:
                 spec = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
             raise ConfigError(f"{args.scenario}: not a JSON scenario file: {exc}") from exc
         scn = harness.scenario_from_json(spec)
         circle = stability.circle_from_gains(args.k1, args.k2)
@@ -90,8 +90,7 @@ def _dispatch(args) -> int:
         verdict, _ = harness.emit_certificate(cfg.gamma, cfg.beta, cfg.delay_T,
                                               circle, args.out)
         label = harness.classify_trace(trace)
-        print(f"simulation: {label}; criterion: "
-              f"{'ConvergenceCertified' if verdict.certified else 'NotCertified'} "
+        print(f"simulation: {label}; criterion: {verdict.label} "
               f"(min distance {verdict.min_distance:.3f})")
         if args.require_certified and not verdict.certified:
             return 2
@@ -113,8 +112,7 @@ def _dispatch(args) -> int:
         circle = stability.circle_from_gains(args.k1, args.k2)
         verdict, _ = harness.emit_certificate(args.gamma, args.beta,
                                               args.delay, circle, args.out)
-        print("ConvergenceCertified" if verdict.certified else "NotCertified",
-              f"min_distance={verdict.min_distance:.4f}",
+        print(verdict.label, f"min_distance={verdict.min_distance:.4f}",
               f"argmin_omega={verdict.argmin_omega:.4g}")
         if args.require_certified and not verdict.certified:
             return 2

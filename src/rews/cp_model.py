@@ -47,14 +47,15 @@ _BRENT_MAXITER = 100
 class CpCurve:
     """Immutable tabulated power coefficient with a C1 interpolant.
 
-    Construct via :func:`load_cp_curve`, which validates the table.  The
-    constructor derives the rest from read-only copies of the table, so
-    equality and the hash go by the table and one curve can be shared.
+    The table is the only input.  The constructor validates it (see
+    :func:`_peak_knot`) and derives everything else from read-only
+    copies, so equality and the hash go by the table and one curve can
+    be shared.
     """
 
     lambda_grid: np.ndarray
     cp_values: np.ndarray
-    lambda_star: float
+    lambda_star: float = field(init=False)  # the peak knot
     lambda_min: float = field(init=False)  # the grid's ends as Python floats
     lambda_max: float = field(init=False)
     lambda_zero: float = field(init=False)
@@ -67,6 +68,7 @@ class CpCurve:
     def __post_init__(self):
         lam = np.array(self.lambda_grid, dtype=float)
         cp = np.array(self.cp_values, dtype=float)
+        peak = _peak_knot(lam, cp)
         c = _pchip_coefficients(lam, cp)
         for arr in (lam, cp, c):
             arr.flags.writeable = False
@@ -75,6 +77,7 @@ class CpCurve:
                             ("_coeffs", [tuple(row) for row in c.T.tolist()]),
                             ("_c", c)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "lambda_star", self._breaks[peak])
         object.__setattr__(self, "lambda_min", self._breaks[0])
         object.__setattr__(self, "lambda_max", self._breaks[-1])
         object.__setattr__(self, "lambda_zero", _find_lambda_zero(self))
@@ -250,9 +253,23 @@ def _brentq(f, a: float, b: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
-def _peak_knot(cp: np.ndarray) -> int:
-    """Index of the table's peak; CurveError unless the table rises to an
-    interior maximum and falls after it (plateaus allowed)."""
+def _peak_knot(lam: np.ndarray, cp: np.ndarray) -> int:
+    """Index of the table's peak knot.  CurveError unless the table has at
+    least 4 finite knots on a strictly increasing positive grid, positive
+    cp values, and rises to an interior maximum and falls after it
+    (plateaus allowed)."""
+    if lam.ndim != 1 or lam.shape != cp.shape:
+        raise CurveError("lambda grid and cp values must be 1-D and equally long")
+    if lam.size < 4:
+        raise CurveError(f"need at least 4 points for a C1 fit, got {lam.size}")
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(cp))):
+        raise CurveError("non-finite values in curve table")
+    if np.any(np.diff(lam) <= 0):
+        raise CurveError("tip-speed ratio grid must be strictly increasing")
+    if lam[0] <= 0:
+        raise CurveError("tip-speed ratios must be positive")
+    if np.any(cp <= 0):
+        raise CurveError("power coefficient values must be positive")
     k = int(np.argmax(cp))
     if k == 0 or cp[-1] == cp[k]:
         raise CurveError("maximizer of the curve is not interior")
@@ -280,30 +297,12 @@ def _find_lambda_zero(curve: CpCurve) -> float:
 
 
 def load_cp_curve(pairs) -> CpCurve:
-    """Build a validated :class:`CpCurve` from (lambda, cp) pairs.
-
-    Requires at least 4 pairs, a strictly increasing lambda grid,
-    positive cp values, and a single-peaked table; lambda_star is its
-    peak knot.
-    """
+    """Build a :class:`CpCurve` (which validates the table) from
+    (lambda, cp) pairs."""
     arr = np.asarray(list(pairs), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise CurveError("expected a sequence of (lambda, cp) pairs")
-    if arr.shape[0] < 4:
-        raise CurveError(f"need at least 4 points for a C1 fit, got {arr.shape[0]}")
-    lam = arr[:, 0]
-    cp = arr[:, 1]
-    if not np.all(np.isfinite(arr)):
-        raise CurveError("non-finite values in curve table")
-    if np.any(np.diff(lam) <= 0):
-        raise CurveError("tip-speed ratio grid must be strictly increasing")
-    if lam[0] <= 0:
-        raise CurveError("tip-speed ratios must be positive")
-    if np.any(cp <= 0):
-        raise CurveError("power coefficient values must be positive")
-
-    return CpCurve(lambda_grid=lam, cp_values=cp,
-                   lambda_star=float(lam[_peak_knot(cp)]))
+    return CpCurve(lambda_grid=arr[:, 0], cp_values=arr[:, 1])
 
 
 def read_curve_csv(path) -> CpCurve:

@@ -380,8 +380,8 @@ def run_case_studies(out_dir=None) -> dict:
             "divergence_guard_m_per_s": DIVERGENCE_GUARD,
         },
         "circle": {
-            "k1": CASE_STUDY_K1,
-            "k2": CASE_STUDY_K2,
+            "k1": circle.k1,
+            "k2": circle.k2,
             "C": circle.center,
             "R": circle.radius,
             "alpha": circle.alpha,
@@ -539,10 +539,10 @@ def emit_trace(trace: SimTrace, out_dir) -> list:
 def emit_certificate(gamma: float, beta: float, delay: float,
                      circle: CircleSpec, out_dir) -> tuple:
     """Write ``nyquist.csv``, ``verdict.json`` and ``nyquist.svg`` for one
-    configuration; return ``(verdict, written paths)``."""
+    configuration, the locus on the grid the verdict was judged on; return
+    ``(verdict, written paths)``."""
     verdict = stability.certify(gamma, beta, delay, circle)  # refuses bad gains first
-    fr = stability.frequency_response(gamma, beta, delay,
-                                      stability.default_omega_grid())
+    fr = verdict.locus
     os.makedirs(out_dir, exist_ok=True)
     csv_path, json_path, svg_path = (
         os.path.join(out_dir, name)
@@ -551,7 +551,7 @@ def emit_certificate(gamma: float, beta: float, delay: float,
     _write_csv(csv_path, ["omega", "re", "im", "distance"],
                [fr.omega_grid, g.real, g.imag, np.abs(g - circle.center)])
     _write_json(json_path, {
-        "verdict": "ConvergenceCertified" if verdict.certified else "NotCertified",
+        "verdict": verdict.label,
         "min_distance": verdict.min_distance,
         "argmin_omega": verdict.argmin_omega,
         "k1": circle.k1,

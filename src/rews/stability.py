@@ -18,7 +18,7 @@ is not certified or when no frequency ever enters the disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,22 +46,23 @@ _MAX_WIDENINGS = 3
 
 @dataclass(frozen=True)
 class CircleSpec:
-    """Forbidden disk in the Nyquist plane derived from sector slopes."""
+    """Forbidden disk in the Nyquist plane: its diameter on the real axis
+    runs from -1/k1 to -1/k2.  Needs ``0 < k1 <= k2 < inf``."""
 
-    center: float  # real-axis coordinate C = -(k1+k2)/(2 k1 k2)
-    radius: float  # R = (k2-k1)/(2 k1 k2)
+    k1: float  # sector slopes, kept as given
+    k2: float
+    center: float = field(init=False)  # C = -(k1+k2)/(2 k1 k2)
+    radius: float = field(init=False)  # R = (k2-k1)/(2 k1 k2)
+    alpha: float = field(init=False)   # -C, the scaling placing the center at (-1, 0)
 
-    @property
-    def alpha(self) -> float:  # scaling placing the center at (-1, 0)
-        return -self.center
-
-    @property
-    def k1(self) -> float:
-        return -1.0 / (self.center - self.radius)
-
-    @property
-    def k2(self) -> float:
-        return -1.0 / (self.center + self.radius)
+    def __post_init__(self):
+        k1, k2 = self.k1, self.k2
+        if not 0 < k1 <= k2 < np.inf:  # also refuses NaN
+            raise ConfigError(f"need 0 < k1 <= k2 < inf, got k1={k1!r}, k2={k2!r}")
+        center = -(k2 + k1) / (2.0 * k1 * k2)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", (k2 - k1) / (2.0 * k1 * k2))
+        object.__setattr__(self, "alpha", -center)
 
 
 @dataclass(frozen=True)
@@ -75,15 +76,17 @@ class DistanceVerdict:
     certified: bool
     min_distance: float
     argmin_omega: float
+    locus: FrequencyResponse = field(compare=False, repr=False)  # the one judged
+
+    @property
+    def label(self) -> str:
+        """The verdict's name in ``verdict.json`` and the CLI output."""
+        return "ConvergenceCertified" if self.certified else "NotCertified"
 
 
 def circle_from_gains(k1: float, k2: float) -> CircleSpec:
     """Closed-form disk from sector slopes; diameter [-1/k1, -1/k2]."""
-    if not 0 < k1 <= k2 < np.inf:  # also refuses NaN
-        raise ConfigError(f"need 0 < k1 <= k2 < inf, got k1={k1!r}, k2={k2!r}")
-    center = -(k2 + k1) / (2.0 * k1 * k2)
-    radius = (k2 - k1) / (2.0 * k1 * k2)
-    return CircleSpec(center=center, radius=radius)
+    return CircleSpec(k1, k2)
 
 
 def default_omega_grid(lo: float = _GRID_LO, hi: float = _GRID_HI,
@@ -137,6 +140,7 @@ def distance_criterion(fr: FrequencyResponse,
         certified=bool(dist[i] > circle.radius),
         min_distance=float(dist[i]),
         argmin_omega=float(fr.omega_grid[i]),
+        locus=fr,
     )
 
 

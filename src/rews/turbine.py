@@ -8,7 +8,7 @@ integrated with a classical fixed-step 4th-order Runge-Kutta scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .cp_model import CpCurve, _brentq
 from .exceptions import ConfigError, EnvelopeError
@@ -25,41 +25,33 @@ __all__ = [
     "rk4_plant_step",
 ]
 
-_REL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TurbineParams:
-    """Physical constants of the drivetrain (SI units)."""
+    """Physical constants of the drivetrain (SI units).  Every input must be
+    positive and finite; the derived fields are computed from them."""
 
     rho: float                 # air density, kg/m^3
     rotor_radius: float        # R, m
     gear_ratio: float          # N = omega_g / omega_r
     inertia_generator: float   # J_g, kg m^2
     inertia_rotor: float       # J_r, kg m^2
-    swept_area: float = None   # A = pi R^2; computed when omitted
-    inertia_equivalent: float = None  # J = J_g + J_r / N^2; computed when omitted
     omega_r_min: float = 0.1   # lower rotor-speed bound, rad/s
-    phi_coefficient: float = field(init=False)  # rho A / (2 N J), phi's prefactor
+    swept_area: float = field(init=False)          # A = pi R^2
+    inertia_equivalent: float = field(init=False)  # J = J_g + J_r / N^2
+    phi_coefficient: float = field(init=False)     # rho A / (2 N J), phi's prefactor
 
     def __post_init__(self):
-        for name in ("rho", "rotor_radius", "gear_ratio",
-                     "inertia_generator", "inertia_rotor", "omega_r_min"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be strictly positive")
+        for name in (f.name for f in fields(self) if f.init):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also refuses NaN
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         area = math.pi * self.rotor_radius ** 2
-        if self.swept_area is None:
-            object.__setattr__(self, "swept_area", area)
-        elif abs(self.swept_area - area) > _REL_TOL * area:
-            raise ConfigError("swept_area inconsistent with pi * R^2")
         j_eq = self.inertia_generator + self.inertia_rotor / self.gear_ratio ** 2
-        if self.inertia_equivalent is None:
-            object.__setattr__(self, "inertia_equivalent", j_eq)
-        elif abs(self.inertia_equivalent - j_eq) > _REL_TOL * j_eq:
-            raise ConfigError("inertia_equivalent inconsistent with J_g + J_r / N^2")
-        object.__setattr__(self, "phi_coefficient", self.rho * self.swept_area / (
-            2.0 * self.gear_ratio * self.inertia_equivalent
-        ))
+        object.__setattr__(self, "swept_area", area)
+        object.__setattr__(self, "inertia_equivalent", j_eq)
+        object.__setattr__(self, "phi_coefficient",
+                           self.rho * area / (2.0 * self.gear_ratio * j_eq))
 
 
 def default_turbine_params() -> TurbineParams:
@@ -85,8 +77,7 @@ def load_params_file(path) -> TurbineParams:
                 raise ConfigError(f"{path}: malformed line {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             values[key] = float(val)
-    known = {"rho", "rotor_radius", "gear_ratio", "inertia_generator",
-             "inertia_rotor", "swept_area", "inertia_equivalent", "omega_r_min"}
+    known = {f.name for f in fields(TurbineParams) if f.init}
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"{path}: unknown parameter(s) {sorted(unknown)}")

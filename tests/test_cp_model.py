@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from rews import cp_model, turbine
-from rews.cp_model import (_brentq, _pchip_coefficients, default_cp_curve,
-                           load_cp_curve, read_curve_csv)
+from rews.cp_model import (CpCurve, _brentq, _pchip_coefficients,
+                           default_cp_curve, load_cp_curve, read_curve_csv)
 from rews.exceptions import CurveError, EnvelopeError
 
 from conftest import sine_cp
@@ -32,6 +32,20 @@ def test_double_peak_rejected():
     cp = 0.3 + 0.1 * np.sin(2.0 * np.pi * (lam - 2.0) / 4.0)
     with pytest.raises(CurveError, match="single-peaked"):
         load_cp_curve(zip(lam, cp))
+
+
+@pytest.mark.parametrize("lam, cp, message", [
+    (np.linspace(2, 10, 41),
+     0.3 + 0.1 * np.sin(2.0 * np.pi * np.linspace(0, 8, 41) / 4.0), "single-peaked"),
+    ([2.0, 3.0, 4.0], [0.1, 0.2, 0.1], "at least 4"),
+    ([2.0, 3.0, 3.0, 4.0], [0.1, 0.2, 0.25, 0.1], "increasing"),
+    ([2.0, 3.0, 4.0, 5.0], [0.1, math.nan, 0.2, 0.1], "non-finite"),
+    ([2.0, 3.0, 4.0, 5.0], [0.1, 0.2, 0.1], "equally long"),
+], ids=["double-peak", "too-few", "repeated-knot", "nan", "ragged"])
+def test_constructor_validates_the_table(lam, cp, message):
+    # Building the curve directly runs the same checks as load_cp_curve.
+    with pytest.raises(CurveError, match=message):
+        CpCurve(np.asarray(lam), np.asarray(cp))
 
 
 def test_dip_in_a_dense_table_rejected():
@@ -261,6 +275,20 @@ def test_equality_and_hash_go_by_the_table():
     other = load_cp_curve(zip(a.lambda_grid, cp))
     assert other != a
     assert a != "curve"
+
+
+def test_equal_curves_have_equal_peaks():
+    # The peak is derived from the table, never passed in, so two curves
+    # equal by table cannot disagree on it or on the optimal torque gain.
+    a = default_cp_curve()
+    b = CpCurve(a.lambda_grid, a.cp_values)
+    assert b == a
+    assert (b.lambda_star, b.cp_star) == (a.lambda_star, a.cp_star)
+    params = turbine.default_turbine_params()
+    assert (turbine.optimal_torque_gain(params, b)
+            == turbine.optimal_torque_gain(params, a))
+    with pytest.raises(TypeError, match="lambda_star"):
+        CpCurve(a.lambda_grid, a.cp_values, lambda_star=3.0)
 
 
 def test_default_curve_is_one_read_only_curve():

@@ -675,8 +675,9 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [b'{"wind_profile": [[0, 5]],', b"\xff\xfe"],
-                             ids=["truncated", "not-utf8"])
+    @pytest.mark.parametrize("content", [b'{"wind_profile": [[0, 5]],', b"\xff\xfe",
+                                         b"[" * 100_000],
+                             ids=["truncated", "not-utf8", "deeply-nested"])
     def test_scenario_file_not_json_is_a_clean_error(self, tmp_path, capsys,
                                                      content):
         bad = tmp_path / "bad.json"

@@ -24,9 +24,17 @@ class TestCircleGeometry:
         c = circle_from_gains(k1, k2)
         assert c.center - c.radius == pytest.approx(-1.0 / k1, rel=1e-12)
         assert c.center + c.radius == pytest.approx(-1.0 / k2, rel=1e-12)
-        # Slope recovery round-trips through the stored geometry.
-        assert c.k1 == pytest.approx(k1, rel=1e-12)
-        assert c.k2 == pytest.approx(k2, rel=1e-12)
+        assert (c.k1, c.k2) == (k1, k2)
+
+    def test_slopes_kept_as_given(self):
+        # The disk is derived from the slopes, not the slopes from the disk
+        # (which read 0.095 back as 0.09499999999999999).
+        rng = np.random.default_rng(2021)
+        for a, b in np.sort(10.0 ** rng.uniform(-4.0, 2.0, (10_000, 2)), axis=1):
+            k1, k2 = float(a), float(b)
+            c = circle_from_gains(k1, k2)
+            assert c.k1 == k1 and c.k2 == k2
+            assert c.alpha == -c.center
 
     def test_degenerate_sector_is_a_point(self):
         c = circle_from_gains(0.05, 0.05)
@@ -256,6 +264,18 @@ class TestExports:
         assert np.array_equal(data[:, 2], fr.g_values.imag)
         assert np.array_equal(data[:, 3], np.abs(fr.g_values - circle.center))
 
+    def test_nyquist_csv_is_the_judged_locus(self, tmp_path):
+        # With no delay the minimum sits at the high-frequency edge, so
+        # certify widens the grid; the CSV must show that wider grid.
+        circle = case_study_circle()
+        verdict, _ = emit_certificate(40.0, 0.0, 0.0, circle, tmp_path)
+        assert verdict.argmin_omega > default_omega_grid()[-1]
+        data = np.loadtxt(tmp_path / "nyquist.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 0], verdict.locus.omega_grid)
+        row = data[data[:, 0] == verdict.argmin_omega]
+        assert row.shape == (1, 4)
+        assert row[0, 3] == verdict.min_distance == data[:, 3].min()
+
     def test_verdict_json(self, tmp_path):
         circle = case_study_circle()
         verdict, written = emit_certificate(40.0, 10.0, 0.3, circle, tmp_path)
@@ -269,5 +289,5 @@ class TestExports:
         assert record["C"] == pytest.approx(-36.513, abs=1e-3)
         assert record["R"] == pytest.approx(25.987, abs=1e-3)
         assert record["alpha"] == pytest.approx(36.513, abs=1e-3)
-        assert record["k1"] == pytest.approx(0.016, rel=1e-9)
-        assert record["k2"] == pytest.approx(0.095, rel=1e-9)
+        assert (record["k1"], record["k2"]) == (0.016, 0.095)
+        assert record["verdict"] == verdict.label

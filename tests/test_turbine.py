@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rews.exceptions import ConfigError, EnvelopeError
-from rews.harness import make_step_wind_scenario, run_scenario
+from rews.harness import (make_step_wind_scenario, run_scenario,
+                          scenario_from_json)
 from rews.turbine import (TurbineParams, default_turbine_params,
                           load_params_file, optimal_torque_gain, phi,
                           phi_clamped, phi_prime_u, rk4_plant_step,
@@ -44,15 +45,50 @@ class TestParams:
             TurbineParams(rho=-1.0, rotor_radius=63, gear_ratio=97,
                           inertia_generator=534.116, inertia_rotor=3.9e7)
 
-    def test_inconsistent_derived_fields_rejected(self):
-        with pytest.raises(ConfigError, match="swept_area"):
-            TurbineParams(rho=1.225, rotor_radius=63, gear_ratio=97,
-                          inertia_generator=534.116, inertia_rotor=3.9e7,
-                          swept_area=1.0)
-        with pytest.raises(ConfigError, match="inertia_equivalent"):
-            TurbineParams(rho=1.225, rotor_radius=63, gear_ratio=97,
-                          inertia_generator=534.116, inertia_rotor=3.9e7,
-                          inertia_equivalent=1.0)
+    def test_inconsistent_derived_fields_rejected(self, tmp_path):
+        # The swept area and the equivalent inertia are derived, never
+        # inputs: an inline turbine object or a parameter file that sets
+        # one is refused.
+        spec = {"wind_profile": [[0.0, 7.0]], "duration": 1.0,
+                "estimator": {"family": "pi", "gamma": 40.0}}
+        base = {"rho": 1.225, "rotor_radius": 63.0, "gear_ratio": 97.0,
+                "inertia_generator": 534.116, "inertia_rotor": 3.9e7}
+        for key in ("swept_area", "inertia_equivalent"):
+            with pytest.raises(ConfigError, match=key):
+                scenario_from_json(dict(spec, turbine=dict(base, **{key: 1.0})))
+            path = tmp_path / f"{key}.txt"
+            path.write_text("".join(f"{k}={v}\n" for k, v in base.items())
+                            + f"{key}=1.0\n")
+            with pytest.raises(ConfigError, match=f"unknown parameter.*{key}"):
+                load_params_file(path)
+            with pytest.raises(TypeError, match=key):
+                TurbineParams(**base, **{key: 1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_inputs_must_be_positive_and_finite(self, params, bad):
+        inputs = {name: getattr(params, name)
+                  for name in ("rho", "rotor_radius", "gear_ratio",
+                               "inertia_generator", "inertia_rotor", "omega_r_min")}
+        for name in inputs:
+            with pytest.raises(ConfigError,
+                               match=f"^{name} must be positive and finite, got {bad!r}$"):
+                TurbineParams(**dict(inputs, **{name: bad}))
+
+    def test_non_finite_inputs_refused_inline_and_from_file(self, tmp_path):
+        # NaN used to pass the `<= 0` check and surface as a root-finder
+        # message from the steady-state rotor speed.
+        spec = {"wind_profile": [[0.0, 7.0]], "duration": 1.0,
+                "estimator": {"family": "pi", "gamma": 40.0}}
+        inline = {"rho": math.nan, "rotor_radius": 63.0, "gear_ratio": 97.0,
+                  "inertia_generator": 534.116, "inertia_rotor": 3.9e7}
+        path = tmp_path / "turbine.txt"
+        path.write_text("rho=1.225\nrotor_radius=63\ngear_ratio=97\n"
+                        "inertia_generator=534.116\ninertia_rotor=inf\n")
+        for turbine, message in ((inline, "rho must be positive and finite, got nan"),
+                                 (str(path), "inertia_rotor must be positive "
+                                             "and finite, got inf")):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                scenario_from_json(dict(spec, turbine=turbine))
 
     def test_params_file_round_trip(self, tmp_path, params):
         path = tmp_path / "turbine.txt"
