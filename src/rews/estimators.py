@@ -3,16 +3,16 @@
 The estimator is a torque-balance observer of the drivetrain.  Its
 output ``U_hat`` drives the aerodynamic torque model ``phi``; the torque
 balance ``phi/n - T_g/(n J)`` then advances the estimator state by one
-forward-Euler step of the scenario's sample time ``dt``.  Two update
-rules realize it:
-
-* the observer rule, ``U_hat = gamma*eps + beta*integral(eps)`` with the
-  speed error ``eps = omega_r - omega_hat_r``.  ``PI`` is this rule;
-  ``EQUIV_P`` (proportional correction) is the same rule with beta = 0.
-* the I&I internal-state rule, ``U_hat = U_hat_I + gamma*omega_r``
-  (``IANDI``).  It is algebraically the proportional observer, but it
-  is kept as its own rule so that the equivalence of the two stays a
-  numerical result rather than one true by construction.
+forward-Euler step of the scenario's sample time ``dt``.  One update
+rule realizes it, the observer ``U_hat = gamma*eps + beta*integral(eps)``
+with the speed error ``eps = omega_r - omega_hat_r``, in three
+parametrisations: ``PI`` takes both gains, while ``EQUIV_P``
+(proportional correction) and ``IANDI`` (the immersion and invariance
+estimator) are both the rule with beta = 0.  The I&I internal state is
+the observer's in other coordinates, ``U_hat_I = -gamma*omega_hat_r``,
+and the map holds exactly for the forward-Euler updates too; the tests
+check it numerically against the I&I recursion
+``U_hat = U_hat_I + gamma*omega_r``.
 
 An optional pure delay of T seconds (a whole number of samples) sits on
 the estimate that feeds ``phi``, emulating loop latency in a digital
@@ -80,8 +80,7 @@ class EstimatorState:
 
     dt: float                      # sample time, s
     delay_line: deque              # estimates of the last T seconds, oldest first
-    u_hat_internal: float = 0.0    # I&I internal state, m/s
-    omega_hat_r: float = math.nan  # observer rotor speed, rad/s; NaN for I&I
+    omega_hat_r: float             # observer rotor speed, rad/s
     integral_eps: float = 0.0      # accumulated speed error, rad
     clamp_count: int = 0           # envelope clamps seen on the feedback path
 
@@ -97,16 +96,12 @@ def init_estimator(config: EstimatorConfig, omega_r0: float, u_guess: float,
         raise ConfigError(f"initial rotor speed must be positive and finite, "
                           f"got {float(omega_r0)}")
 
-    n_delay = int(round(config.delay_T / dt))
-    state = EstimatorState(dt=dt, delay_line=deque([u_guess] * n_delay))
-    if config.family is Family.IANDI:
-        state.u_hat_internal = u_guess - config.gamma * omega_r0
-    elif config.beta == 0.0:
-        state.omega_hat_r = omega_r0 - u_guess / config.gamma
-    else:
-        state.omega_hat_r = omega_r0
-        state.integral_eps = u_guess / config.beta
-    return state
+    delay_line = deque([u_guess] * int(round(config.delay_T / dt)))
+    if config.beta == 0.0:
+        return EstimatorState(dt, delay_line,
+                              omega_hat_r=omega_r0 - u_guess / config.gamma)
+    return EstimatorState(dt, delay_line, omega_hat_r=omega_r0,
+                          integral_eps=u_guess / config.beta)
 
 
 def _torque_balance(params: TurbineParams, curve: CpCurve, state: EstimatorState,
@@ -126,14 +121,9 @@ def step_estimator(params: TurbineParams, curve: CpCurve, state: EstimatorState,
                    omega_r: float, t_g: float, config: EstimatorConfig) -> float:
     """One Euler update; returns the estimate emitted from the pre-update state."""
     dt = state.dt
-    if config.family is Family.IANDI:
-        u_hat = state.u_hat_internal + config.gamma * omega_r
-        drive = _torque_balance(params, curve, state, omega_r, t_g, u_hat)
-        state.u_hat_internal -= dt * config.gamma * drive
-    else:
-        eps = omega_r - state.omega_hat_r
-        u_hat = config.gamma * eps + config.beta * state.integral_eps
-        drive = _torque_balance(params, curve, state, omega_r, t_g, u_hat)
-        state.integral_eps += dt * eps
-        state.omega_hat_r += dt * drive
+    eps = omega_r - state.omega_hat_r
+    u_hat = config.gamma * eps + config.beta * state.integral_eps
+    drive = _torque_balance(params, curve, state, omega_r, t_g, u_hat)
+    state.integral_eps += dt * eps
+    state.omega_hat_r += dt * drive
     return u_hat

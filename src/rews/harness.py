@@ -145,8 +145,8 @@ class SimTrace:
     t: np.ndarray
     u_true: np.ndarray
     omega_r: np.ndarray
-    omega_hat_r: np.ndarray   # NaN for the internal-state family
-    eps: np.ndarray           # omega_r - omega_hat_r; NaN when undefined
+    omega_hat_r: np.ndarray   # observer rotor speed
+    eps: np.ndarray           # omega_r - omega_hat_r
     u_hat: np.ndarray
     t_g: np.ndarray
     clamp_count: np.ndarray   # cumulative feedback-path envelope clamps
@@ -527,10 +527,9 @@ def emit_trace(trace: SimTrace, out_dir) -> list:
                        [("U", trace.u_true), ("U_hat", trace.u_hat)],
                        title="Wind speed estimate", xlabel="t [s]",
                        ylabel="wind speed [m/s]")
-    series = [("omega_r", trace.omega_r)]
-    if not np.all(np.isnan(trace.omega_hat_r)):
-        series.append(("omega_hat_r", trace.omega_hat_r))
-    svgplot.line_chart(speed_path, trace.t, series,
+    svgplot.line_chart(speed_path, trace.t,
+                       [("omega_r", trace.omega_r),
+                        ("omega_hat_r", trace.omega_hat_r)],
                        title="Rotor speed", xlabel="t [s]",
                        ylabel="rotor speed [rad/s]")
     return [csv_path, wind_path, speed_path]

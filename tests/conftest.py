@@ -1,8 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from rews.cp_model import default_cp_curve, load_cp_curve
-from rews.turbine import default_turbine_params
+from rews.turbine import default_turbine_params, phi_clamped
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +27,24 @@ def sine_curve():
 
 def sine_cp(lam):
     return 0.5 * np.sin(np.pi * (lam - 2.0) / 8.0)
+
+
+def iandi_reference(trace):
+    """The paper's I&I recursion, ``U_hat = U_I + gamma*omega_r`` then
+    ``U_I -= dt*gamma*(phi/N - T_g/(N J))``, replayed on the rotor speed
+    and generator torque that ``trace`` recorded (the plant does not
+    depend on the estimator); returns its estimates."""
+    scn = trace.scenario
+    params, curve, dt = scn.turbine, scn.curve, scn.dt
+    gamma = scn.estimator.gamma
+    n, inertia = params.gear_ratio, params.inertia_equivalent
+    line = deque([scn.initial_u_guess] * round(scn.estimator.delay_T / dt))
+    u_internal = scn.initial_u_guess - gamma * scn.initial_omega_r
+    out = []
+    for omega_r, t_g in zip(trace.omega_r.tolist(), trace.t_g.tolist()):
+        u_hat = u_internal + gamma * omega_r
+        out.append(u_hat)
+        line.append(u_hat)
+        phi_val, _ = phi_clamped(params, curve, omega_r, line.popleft())
+        u_internal -= dt * gamma * (phi_val / n - t_g / (n * inertia))
+    return np.array(out)

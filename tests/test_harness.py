@@ -14,8 +14,8 @@ import rews
 from rews import harness, stability
 from rews.estimators import Family, init_estimator, step_estimator
 from rews.exceptions import ConfigError, CurveError, EnvelopeError
-from rews.harness import (_CSV_CHUNK, CASE_STUDIES, Scenario, SimTrace,
-                          _write_csv, _write_json,
+from rews.harness import (_CSV_CHUNK, _TRACE_COLUMNS, CASE_STUDIES, Scenario,
+                          SimTrace, _write_csv, _write_json,
                           case_study_circle, classify_trace, emit_outputs,
                           make_step_wind_scenario, read_trace_csv,
                           run_scenario, run_shared_plant, scenario_from_json,
@@ -185,11 +185,14 @@ class TestRunScenario:
         assert len(trace) < scn.n_steps() + 1
         assert classify_trace(trace) == "diverged"
 
-    def test_internal_state_family_has_no_observer_columns(self):
-        scn = _scenario(family=Family.IANDI, beta=0.0)
-        trace = run_scenario(scn)
-        assert np.all(np.isnan(trace.omega_hat_r))
-        assert np.all(np.isnan(trace.eps))
+    def test_internal_state_family_runs_the_proportional_observer(self):
+        # I&I runs the proportional observer, so with equal gains its
+        # trace is the P trace, observer columns included.
+        iandi, p = (run_scenario(_scenario(family=family, beta=0.0, delay_T=0.3))
+                    for family in (Family.IANDI, Family.EQUIV_P))
+        for name in _TRACE_COLUMNS:
+            assert np.array_equal(getattr(iandi, name), getattr(p, name)), name
+            assert np.all(np.isfinite(getattr(iandi, name))), name
 
 
 # An 11 -> 4 m/s step at t = 100 s throws the plant out of the C_p
@@ -211,10 +214,9 @@ class TestSharedPlant:
             assert together.scenario is scn
             assert together.stopped_early == solo.stopped_early
             assert together.stop_time == solo.stop_time
-            for name in ("t", "u_true", "omega_r", "omega_hat_r", "eps",
-                         "u_hat", "t_g", "clamp_count"):
+            for name in _TRACE_COLUMNS:
                 assert np.array_equal(getattr(together, name),
-                                      getattr(solo, name), equal_nan=True), name
+                                      getattr(solo, name)), name
 
     def test_step_loop_runs_on_python_floats(self, monkeypatch):
         # numpy scalars give the same bits several times slower.
@@ -339,10 +341,8 @@ class TestSerialization:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         data = read_trace_csv(path)
-        for name in ("t", "u_true", "omega_r", "omega_hat_r", "eps",
-                     "u_hat", "t_g", "clamp_count"):
-            assert np.array_equal(data[name], getattr(trace, name),
-                                  equal_nan=True), name
+        for name in _TRACE_COLUMNS:
+            assert np.array_equal(data[name], getattr(trace, name)), name
 
     @pytest.mark.parametrize("n", [1, _CSV_CHUNK, 2 * _CSV_CHUNK + 7])
     def test_write_csv_bytes_match_repr_rows(self, tmp_path, n):
@@ -377,9 +377,7 @@ class TestSerialization:
         trace = run_scenario(_scenario(duration=5.0))
         empty = SimTrace(
             scenario=trace.scenario,
-            **{c: getattr(trace, c)[:0]
-               for c in ("t", "u_true", "omega_r", "omega_hat_r", "eps",
-                         "u_hat", "t_g", "clamp_count")})
+            **{c: getattr(trace, c)[:0] for c in _TRACE_COLUMNS})
         with pytest.raises(ConfigError):
             write_trace_csv(empty, tmp_path / "empty.csv")
         with pytest.raises(ConfigError):
