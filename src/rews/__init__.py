@@ -4,7 +4,8 @@ Building blocks:
 
 * :mod:`rews.cp_model` -- tabulated power coefficient and shape queries
 * :mod:`rews.turbine` -- drivetrain constants, nonlinearity, RK4 plant step
-* :mod:`rews.estimators` -- internal-state, proportional, and PI estimators
+* :mod:`rews.estimators` -- one observer rule; I&I, P and PI are its
+  parametrisations
 * :mod:`rews.stability` -- forbidden circle from given sector slopes,
   distance criterion, margins
 * :mod:`rews.harness` -- shared plant pass, case studies, file emission

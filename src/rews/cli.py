@@ -2,13 +2,15 @@
 
 Subcommands:
 
-* ``simulate --scenario <file.json> --out <dir>`` -- run one scenario
+* ``simulate --scenario <file.json> [--k1 K1 --k2 K2] [--require-certified]
+  --out <dir>`` -- run one scenario and certify its estimator
 * ``case-studies --out <dir>`` -- run the six standard case studies
-* ``stability --gamma G --beta B --delay T [--k1 K1 --k2 K2] --out <dir>``
+* ``stability --gamma G --beta B --delay T [--k1 K1 --k2 K2]
+  [--require-certified] --out <dir>``
 * ``margins --gamma G (--delay T | --beta B) [--k1 K1 --k2 K2]``
 
 Exit code 2 signals a NotCertified verdict when ``--require-certified``
-is set.
+is set; exit code 1 signals an error.
 """
 
 from __future__ import annotations
@@ -83,12 +85,12 @@ def _dispatch(args) -> int:
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
             raise ConfigError(f"{args.scenario}: not a JSON scenario file: {exc}") from exc
         scn = harness.scenario_from_json(spec)
+        cfg = scn.estimator
         circle = stability.circle_from_gains(args.k1, args.k2)
+        verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
         trace = harness.run_scenario(scn)
         harness.emit_trace(trace, args.out)
-        cfg = scn.estimator
-        verdict, _ = harness.emit_certificate(cfg.gamma, cfg.beta, cfg.delay_T,
-                                              circle, args.out)
+        harness.emit_certificate(verdict, args.out)
         label = harness.classify_trace(trace)
         print(f"simulation: {label}; criterion: {verdict.label} "
               f"(min distance {verdict.min_distance:.3f})")
@@ -110,8 +112,8 @@ def _dispatch(args) -> int:
 
     if args.command == "stability":
         circle = stability.circle_from_gains(args.k1, args.k2)
-        verdict, _ = harness.emit_certificate(args.gamma, args.beta,
-                                              args.delay, circle, args.out)
+        verdict = stability.certify(args.gamma, args.beta, args.delay, circle)
+        harness.emit_certificate(verdict, args.out)
         print(verdict.label, f"min_distance={verdict.min_distance:.4f}",
               f"argmin_omega={verdict.argmin_omega:.4g}")
         if args.require_certified and not verdict.certified:

@@ -306,13 +306,19 @@ def load_cp_curve(pairs) -> CpCurve:
 
 
 def read_curve_csv(path) -> CpCurve:
-    """Load a curve from a two-column CSV with header ``lambda,cp``."""
+    """Load a curve from a CSV with header ``lambda,cp``; columns after the
+    second are ignored."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["lambda", "cp"]:
             raise CurveError(f"{path}: expected header 'lambda,cp'")
-        pairs = [(float(row[0]), float(row[1])) for row in reader if row]
+        pairs = []
+        for row in filter(None, reader):  # skips blank lines
+            if len(row) < 2:
+                raise CurveError(f"{path}: line {reader.line_num} has fewer "
+                                 f"than two fields: {','.join(row)!r}")
+            pairs.append((float(row[0]), float(row[1])))
     return load_cp_curve(pairs)
 
 

@@ -24,7 +24,7 @@ from . import stability, svgplot
 from .cp_model import CpCurve, default_cp_curve, read_curve_csv
 from .estimators import EstimatorConfig, Family, init_estimator, step_estimator
 from .exceptions import ConfigError, CurveError, EnvelopeError
-from .stability import CircleSpec, circle_from_gains
+from .stability import CircleSpec, DistanceVerdict, circle_from_gains
 from .turbine import (TurbineParams, default_turbine_params, load_params_file,
                       optimal_torque_gain, rk4_plant_step,
                       steady_state_rotor_speed)
@@ -150,11 +150,14 @@ class SimTrace:
     u_hat: np.ndarray
     t_g: np.ndarray
     clamp_count: np.ndarray   # cumulative feedback-path envelope clamps
-    stopped_early: bool = False
-    stop_time: float = None
+    stop_time: float = None   # guard trip time; None for a full run
 
     def __len__(self):
         return self.t.size
+
+    @property
+    def stopped_early(self) -> bool:
+        return self.stop_time is not None
 
 
 def run_scenario(scn: Scenario) -> SimTrace:
@@ -270,7 +273,6 @@ def run_shared_plant(scenarios) -> list:
             u_hat=run.u_hat[sl],
             t_g=t_g[sl],
             clamp_count=run.clamps[sl],
-            stopped_early=stopped,
             stop_time=times[run.last] if stopped else None,
         ))
     return traces
@@ -379,13 +381,7 @@ def run_case_studies(out_dir=None) -> dict:
             "divergence_windows": DIVERGE_WINDOWS,
             "divergence_guard_m_per_s": DIVERGENCE_GUARD,
         },
-        "circle": {
-            "k1": circle.k1,
-            "k2": circle.k2,
-            "C": circle.center,
-            "R": circle.radius,
-            "alpha": circle.alpha,
-        },
+        "circle": circle.as_dict(),
         "cases": rows[:len(CASE_STUDIES)],
         "gain_comparison": rows[len(CASE_STUDIES):],
         "beta_margin": {"gamma": 40.0, "delay": 0.3, "value": beta_margin},
@@ -511,8 +507,8 @@ def emit_outputs(trace: SimTrace, out_dir, circle: CircleSpec) -> list:
     files of the estimator's gains against ``circle`` (see
     :func:`emit_certificate`); return the written paths."""
     cfg = trace.scenario.estimator
-    return emit_trace(trace, out_dir) + emit_certificate(
-        cfg.gamma, cfg.beta, cfg.delay_T, circle, out_dir)[1]
+    verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
+    return emit_trace(trace, out_dir) + emit_certificate(verdict, out_dir)
 
 
 def emit_trace(trace: SimTrace, out_dir) -> list:
@@ -535,13 +531,11 @@ def emit_trace(trace: SimTrace, out_dir) -> list:
     return [csv_path, wind_path, speed_path]
 
 
-def emit_certificate(gamma: float, beta: float, delay: float,
-                     circle: CircleSpec, out_dir) -> tuple:
+def emit_certificate(verdict: DistanceVerdict, out_dir) -> list:
     """Write ``nyquist.csv``, ``verdict.json`` and ``nyquist.svg`` for one
-    configuration, the locus on the grid the verdict was judged on; return
-    ``(verdict, written paths)``."""
-    verdict = stability.certify(gamma, beta, delay, circle)  # refuses bad gains first
-    fr = verdict.locus
+    verdict: the locus it judged and the disk it was judged against;
+    return their paths."""
+    fr, circle = verdict.locus, verdict.circle
     os.makedirs(out_dir, exist_ok=True)
     csv_path, json_path, svg_path = (
         os.path.join(out_dir, name)
@@ -549,15 +543,6 @@ def emit_certificate(gamma: float, beta: float, delay: float,
     g = fr.g_values
     _write_csv(csv_path, ["omega", "re", "im", "distance"],
                [fr.omega_grid, g.real, g.imag, np.abs(g - circle.center)])
-    _write_json(json_path, {
-        "verdict": verdict.label,
-        "min_distance": verdict.min_distance,
-        "argmin_omega": verdict.argmin_omega,
-        "k1": circle.k1,
-        "k2": circle.k2,
-        "C": circle.center,
-        "R": circle.radius,
-        "alpha": circle.alpha,
-    })
+    _write_json(json_path, verdict.as_dict())
     svgplot.nyquist_chart(svg_path, g.real, g.imag, circle.center, circle.radius)
-    return verdict, [csv_path, json_path, svg_path]
+    return [csv_path, json_path, svg_path]

@@ -64,6 +64,11 @@ class CircleSpec:
         object.__setattr__(self, "radius", (k2 - k1) / (2.0 * k1 * k2))
         object.__setattr__(self, "alpha", -center)
 
+    def as_dict(self) -> dict:
+        """The disk as ``verdict.json`` and ``report.json["circle"]`` record it."""
+        return {"k1": self.k1, "k2": self.k2, "C": self.center,
+                "R": self.radius, "alpha": self.alpha}
+
 
 @dataclass(frozen=True)
 class FrequencyResponse:
@@ -76,12 +81,18 @@ class DistanceVerdict:
     certified: bool
     min_distance: float
     argmin_omega: float
+    circle: CircleSpec                                           # the disk judged against
     locus: FrequencyResponse = field(compare=False, repr=False)  # the one judged
 
     @property
     def label(self) -> str:
         """The verdict's name in ``verdict.json`` and the CLI output."""
         return "ConvergenceCertified" if self.certified else "NotCertified"
+
+    def as_dict(self) -> dict:
+        """The ``verdict.json`` record: the verdict, then its disk."""
+        return {"verdict": self.label, "min_distance": self.min_distance,
+                "argmin_omega": self.argmin_omega, **self.circle.as_dict()}
 
 
 def circle_from_gains(k1: float, k2: float) -> CircleSpec:
@@ -140,6 +151,7 @@ def distance_criterion(fr: FrequencyResponse,
         certified=bool(dist[i] > circle.radius),
         min_distance=float(dist[i]),
         argmin_omega=float(fr.omega_grid[i]),
+        circle=circle,
         locus=fr,
     )
 

@@ -306,6 +306,20 @@ def test_csv_bad_header_rejected(tmp_path):
         read_curve_csv(path)
 
 
+def test_csv_short_row_rejected(tmp_path, curve):
+    path = tmp_path / "short.csv"
+    path.write_text("lambda,cp\n2.0,0.1\n4.0\n6.0,0.3\n")
+    with pytest.raises(CurveError, match=r"short\.csv: line 3 has fewer than "
+                                         r"two fields: '4\.0'"):
+        read_curve_csv(path)
+    # Extra columns are still ignored.
+    extra = tmp_path / "extra.csv"
+    extra.write_text("lambda,cp,note\n" + "".join(
+        f"{x!r},{y!r},x\n" for x, y in zip(curve.lambda_grid.tolist(),
+                                            curve.cp_values.tolist())))
+    assert read_curve_csv(extra) == curve
+
+
 def test_default_curve_envelope(curve):
     assert curve.lambda_min == 2.0
     assert curve.lambda_max == 10.0

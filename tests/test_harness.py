@@ -18,8 +18,8 @@ from rews.harness import (_CSV_CHUNK, _TRACE_COLUMNS, CASE_STUDIES, Scenario,
                           SimTrace, _write_csv, _write_json,
                           case_study_circle, classify_trace, emit_outputs,
                           make_step_wind_scenario, read_trace_csv,
-                          run_scenario, run_shared_plant, scenario_from_json,
-                          write_trace_csv)
+                          run_case_studies, run_scenario, run_shared_plant,
+                          scenario_from_json, write_trace_csv)
 from rews.stability import certify
 from rews.turbine import rk4_plant_step
 from rews.cli import main as cli_main
@@ -184,6 +184,16 @@ class TestRunScenario:
         assert trace.stop_time is not None and trace.stop_time < 120.0
         assert len(trace) < scn.n_steps() + 1
         assert classify_trace(trace) == "diverged"
+
+    def test_stop_time_is_the_one_record_of_the_stop(self):
+        trace = run_scenario(make_step_wind_scenario(
+            100.0, 200.0, 0.3, wind_profile=[(0.0, 5.0), (30.0, 7.0)],
+            duration=120.0))
+        assert trace.stopped_early and trace.stop_time == trace.t[-1]
+        with pytest.raises(AttributeError):
+            trace.stopped_early = False
+        assert not dataclasses.replace(trace, stop_time=None).stopped_early
+        assert "stopped_early" not in {f.name for f in dataclasses.fields(SimTrace)}
 
     def test_internal_state_family_runs_the_proportional_observer(self):
         # I&I runs the proportional observer, so with equal gains its
@@ -463,6 +473,19 @@ class TestEmitOutputs:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["verdict"] in ("ConvergenceCertified", "NotCertified")
 
+    def test_report_circle_is_every_verdict_circle(self, tmp_path, monkeypatch):
+        # Only the certificate files matter here, so skip the trace files.
+        monkeypatch.setattr(harness, "emit_trace", lambda trace, out_dir: [])
+        report = run_case_studies(out_dir=tmp_path)
+        circle = json.loads((tmp_path / "report.json").read_text())["circle"]
+        assert circle == report["circle"] == case_study_circle().as_dict()
+        assert list(circle) == ["k1", "k2", "C", "R", "alpha"]
+        verdicts = sorted(tmp_path.glob("*/verdict.json"))
+        assert len(verdicts) == 8
+        for path in verdicts:
+            record = json.loads(path.read_text())
+            assert {key: record[key] for key in circle} == circle, path
+
     def test_report_artifact(self, tmp_path):
         report = {"cases": [{"name": "case1", "min_distance": 26.437023491820906,
                              "certified": True}], "value": None}
@@ -685,6 +708,18 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             f"error: {bad}: not a JSON scenario file")
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_refuses_an_uncertifiable_locus_before_running(
+            self, tmp_path, capsys):
+        # The locus of gamma = 1e6 never collapses inside the widest grid.
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({"wind_profile": [[0.0, 7.0]], "duration": 1.0,
+                                   "estimator": {"family": "p", "gamma": 1e6}}))
+        rc = cli_main(["simulate", "--scenario", str(scn),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: distance minimum")
         assert not (tmp_path / "o").exists()
 
     def test_simulate_refuses_nan_slope_before_running(self, tmp_path, capsys):

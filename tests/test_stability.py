@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rews import stability, svgplot
 from rews.exceptions import ConfigError, GridCoverageError
 from rews.harness import case_study_circle, emit_certificate
 from rews.stability import (CircleSpec, DistanceVerdict, certify,
@@ -246,7 +247,7 @@ class TestMargins:
 class TestExports:
     def test_nyquist_csv(self, tmp_path):
         circle = case_study_circle()
-        emit_certificate(40.0, 10.0, 0.3, circle, tmp_path)
+        emit_certificate(certify(40.0, 10.0, 0.3, circle), tmp_path)
         lines = (tmp_path / "nyquist.csv").read_text().strip().splitlines()
         assert lines[0] == "omega,re,im,distance"
         assert len(lines) == default_omega_grid().size + 1
@@ -256,7 +257,7 @@ class TestExports:
 
     def test_nyquist_csv_matches_frequency_response(self, tmp_path):
         circle = case_study_circle()
-        emit_certificate(40.0, 10.0, 0.3, circle, tmp_path)
+        emit_certificate(certify(40.0, 10.0, 0.3, circle), tmp_path)
         data = np.loadtxt(tmp_path / "nyquist.csv", delimiter=",", skiprows=1)
         fr = frequency_response(40.0, 10.0, 0.3, default_omega_grid())
         assert np.array_equal(data[:, 0], fr.omega_grid)
@@ -267,8 +268,8 @@ class TestExports:
     def test_nyquist_csv_is_the_judged_locus(self, tmp_path):
         # With no delay the minimum sits at the high-frequency edge, so
         # certify widens the grid; the CSV must show that wider grid.
-        circle = case_study_circle()
-        verdict, _ = emit_certificate(40.0, 0.0, 0.0, circle, tmp_path)
+        verdict = certify(40.0, 0.0, 0.0, case_study_circle())
+        emit_certificate(verdict, tmp_path)
         assert verdict.argmin_omega > default_omega_grid()[-1]
         data = np.loadtxt(tmp_path / "nyquist.csv", delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], verdict.locus.omega_grid)
@@ -278,10 +279,12 @@ class TestExports:
 
     def test_verdict_json(self, tmp_path):
         circle = case_study_circle()
-        verdict, written = emit_certificate(40.0, 10.0, 0.3, circle, tmp_path)
-        assert verdict == certify(40.0, 10.0, 0.3, circle)
+        verdict = certify(40.0, 10.0, 0.3, circle)
+        written = emit_certificate(verdict, tmp_path)
+        assert verdict.circle == circle
         assert str(tmp_path / "verdict.json") in map(str, written)
         record = json.loads((tmp_path / "verdict.json").read_text())
+        assert record == certify(40.0, 10.0, 0.3, circle).as_dict()
         assert list(record) == ["verdict", "min_distance", "argmin_omega",
                                 "k1", "k2", "C", "R", "alpha"]
         assert record["verdict"] == "ConvergenceCertified"
@@ -291,3 +294,33 @@ class TestExports:
         assert record["alpha"] == pytest.approx(36.513, abs=1e-3)
         assert (record["k1"], record["k2"]) == (0.016, 0.095)
         assert record["verdict"] == verdict.label
+
+    def test_emit_certificate_writes_the_verdict_it_is_given(self, tmp_path,
+                                                             monkeypatch):
+        # The verdict carries its disk, so a non-default circle is written
+        # without certifying again.
+        circle = circle_from_gains(0.03, 0.09)
+        verdict = certify(40.0, 10.0, 0.3, circle)
+        assert verdict.circle == circle
+
+        def refuse(*args):
+            raise AssertionError("emit_certificate certified again")
+
+        monkeypatch.setattr(stability, "certify", refuse)
+        written = emit_certificate(verdict, tmp_path / "out")
+        assert [p.split("/")[-1] for p in map(str, written)] == [
+            "nyquist.csv", "verdict.json", "nyquist.svg"]
+        record = json.loads((tmp_path / "out" / "verdict.json").read_text())
+        assert record == verdict.as_dict()
+        assert (record["k1"], record["k2"]) == (0.03, 0.09)
+        assert (record["C"], record["R"], record["alpha"]) == (
+            circle.center, circle.radius, circle.alpha)
+        data = np.loadtxt(tmp_path / "out" / "nyquist.csv", delimiter=",",
+                          skiprows=1)
+        assert np.array_equal(data[:, 3],
+                              np.abs(verdict.locus.g_values - circle.center))
+        g = verdict.locus.g_values
+        svgplot.nyquist_chart(tmp_path / "expected.svg", g.real, g.imag,
+                              circle.center, circle.radius)
+        assert ((tmp_path / "out" / "nyquist.svg").read_bytes()
+                == (tmp_path / "expected.svg").read_bytes())
