@@ -11,10 +11,6 @@ data maximum zero slope, so the interpolant has one peak exactly when
 the table does, and the peak is the table's largest knot.  All queries
 outside the tabulated tip-speed-ratio envelope are hard errors; no
 extrapolation.
-
-Roots (the kappa zero here, the steady-state rotor speed in
-:mod:`rews.turbine`) come from :func:`_brentq`, a port of the Brent
-solver behind SciPy's ``brentq`` that returns the same double.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from __future__ import annotations
 import csv
 import functools
 import importlib.resources
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -36,11 +31,6 @@ __all__ = [
     "read_curve_csv",
     "default_cp_curve",
 ]
-
-_KAPPA_ROOT_TOL = 1e-12
-# SciPy's brentq defaults: rtol = 4 eps, 100 iterations.
-_BRENT_RTOL = 4 * float(np.finfo(float).eps)
-_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +70,7 @@ class CpCurve:
         object.__setattr__(self, "lambda_star", self._breaks[peak])
         object.__setattr__(self, "lambda_min", self._breaks[0])
         object.__setattr__(self, "lambda_max", self._breaks[-1])
-        object.__setattr__(self, "lambda_zero", _find_lambda_zero(self))
+        object.__setattr__(self, "lambda_zero", _kappa_root(lam, c, peak))
 
     def _table(self) -> tuple:
         return self.lambda_grid.tobytes(), self.cp_values.tobytes()
@@ -148,6 +138,30 @@ class CpCurve:
         return self._query(lam, lambda x: 3.0 / x * self._cp_array(x)
                            - self._cp_array(x, derivative=True))
 
+    def balance_tip_speed_ratio(self, ratio: float) -> float:
+        """The tip-speed ratio in ``[lambda_zero, lambda_max]`` at which
+        ``C_p(lambda) / lambda^3 = ratio``, the torque balance of a quadratic
+        generator law.  ``C_p / lambda^3`` strictly decreases there (its slope
+        is ``-kappa / lambda^3``), so ``C_p - ratio lambda^3`` changes sign at
+        the knots once, and the root is that of a cubic on one segment.
+        Raises EnvelopeError if there is no root there."""
+        lo = self.lambda_zero
+        knots = self.cp_values - ratio * self.lambda_grid ** 3
+        if not (self._cp_scalar(lo) >= ratio * lo ** 3 and knots[-1] <= 0.0):
+            raise EnvelopeError(
+                "no stable torque balance inside the tip-speed-ratio envelope")
+        j = bisect_right(self._breaks, lo)
+        i = j - 1 + int(np.argmax(knots[j:] <= 0.0))  # the segment with the root
+        x = self._breaks[i]
+        c0, c1, c2, c3 = self._coeffs[i]
+        roots = np.roots([c0 - ratio, c1 - 3.0 * ratio * x,
+                          c2 - 3.0 * ratio * x * x, c3 - ratio * x ** 3])
+        # The real root on the segment; rounding may put it just outside.
+        t_lo, t_hi = max(lo - x, 0.0), self._breaks[i + 1] - x
+        t = min((float(r.real) for r in roots if r.imag == 0),
+                key=lambda r: abs(r - min(max(r, t_lo), t_hi)))
+        return x + min(max(t, t_lo), t_hi)
+
     @property
     def cp_star(self) -> float:
         """Peak power coefficient C_p(lambda_star)."""
@@ -187,70 +201,26 @@ def _pchip_end_slope(h0, h1, m0, m1) -> float:
     return d
 
 
-def _brentq(f, a: float, b: float, xtol: float) -> float:
-    """Root of ``f`` in ``[a, b]`` by Brent's method.
-
-    A port of the C solver behind SciPy's ``brentq`` at its
-    default ``rtol`` and iteration limit: the same steps on the same
-    doubles, so the same root.  Raises ValueError for an ``xtol`` that is
-    not positive, a bracket whose ends do not differ in sign or a NaN
-    value of ``f``, and RuntimeError if it has not converged after 100
-    iterations.
-    """
-    if not xtol > 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    # xcur is the best estimate, xpre the previous one, and xblk the
-    # contrapoint: f(xblk) and f(xcur) differ in sign.
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry  # take the interpolation step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+def _kappa_root(x: np.ndarray, c: np.ndarray, peak: int) -> float:
+    """Largest root of kappa below the peak knot ``x[peak]``, or ``x[0]`` if
+    kappa > 0 there.  On segment ``i``, with ``t = lambda - x[i]`` and the
+    Horner coefficients ``c``, ``lambda kappa = 3 C_p - lambda C_p'`` is the
+    quadratic ``a t^2 + b t + q``; every segment's is solved at once."""
+    x0, h = x[:peak], np.diff(x[:peak + 1])
+    c0, c1, c2, c3 = c[:, :peak]
+    a = c1 - 3.0 * x0 * c0
+    b = 2.0 * (c2 - x0 * c1)
+    q = 3.0 * c3 - x0 * c2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * q), b))
+        t = np.stack((s / a, q / s))  # NaN or inf where there is no real root
+    # A root that rounding puts just outside its segment still counts.
+    slack = 1e-12 * h
+    inside = (t >= -slack) & (t <= h + slack)
+    if not inside.any():
+        return float(x[0])
+    i = np.flatnonzero(inside.any(axis=0))[-1]
+    return float(x0[i] + np.clip(np.max(t[:, i][inside[:, i]]), 0.0, h[i]))
 
 
 def _peak_knot(lam: np.ndarray, cp: np.ndarray) -> int:
@@ -282,20 +252,6 @@ def _peak_knot(lam: np.ndarray, cp: np.ndarray) -> int:
     return k
 
 
-def _find_lambda_zero(curve: CpCurve) -> float:
-    """Largest root of kappa below lambda_star, or lambda_min if kappa > 0 there."""
-    dense = np.linspace(curve.lambda_min, curve.lambda_star, 1001)
-    kv = curve.kappa(dense)
-    # Scan downward from lambda_star for the first sign change.
-    for i in range(dense.size - 2, -1, -1):
-        if kv[i] <= 0.0 < kv[i + 1]:
-            return _brentq(curve.kappa, dense[i], dense[i + 1],
-                           _KAPPA_ROOT_TOL)
-        if kv[i] == 0.0:
-            return float(dense[i])
-    return curve.lambda_min
-
-
 def load_cp_curve(pairs) -> CpCurve:
     """Build a :class:`CpCurve` (which validates the table) from
     (lambda, cp) pairs."""
@@ -318,7 +274,11 @@ def read_curve_csv(path) -> CpCurve:
             if len(row) < 2:
                 raise CurveError(f"{path}: line {reader.line_num} has fewer "
                                  f"than two fields: {','.join(row)!r}")
-            pairs.append((float(row[0]), float(row[1])))
+            try:
+                pairs.append((float(row[0]), float(row[1])))
+            except ValueError:
+                raise CurveError(f"{path}: line {reader.line_num} has a field "
+                                 f"that is not a number: {','.join(row)!r}") from None
     return load_cp_curve(pairs)
 
 

@@ -238,7 +238,8 @@ def run_shared_plant(scenarios) -> list:
     w = first.initial_omega_r
 
     for k in range(n + 1):
-        tg = k_gain * (gear * w) ** 2
+        gw = gear * w
+        tg = k_gain * (gw * gw)  # x * x: pow() is not correctly rounded
         omega[k] = w
         t_g[k] = tg
         tripped = False

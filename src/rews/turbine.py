@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .cp_model import CpCurve, _brentq
+from .cp_model import CpCurve
 from .exceptions import ConfigError, EnvelopeError
 
 __all__ = [
@@ -69,14 +69,20 @@ def load_params_file(path) -> TurbineParams:
     """Read ``key=value`` lines (SI units, '#' comments) into TurbineParams."""
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}: malformed line {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = float(val)
+            if key in values:
+                raise ConfigError(f"{path}: line {number} repeats {key!r}")
+            try:
+                values[key] = float(val)
+            except ValueError:
+                raise ConfigError(f"{path}: line {number}: {key} is not a "
+                                  f"number: {val!r}") from None
     known = {f.name for f in fields(TurbineParams) if f.init}
     unknown = set(values) - known
     if unknown:
@@ -155,29 +161,24 @@ def steady_state_rotor_speed(params: TurbineParams, curve: CpCurve,
                              k_opt: float, u: float) -> float:
     """Rotor speed at which aerodynamic and generator torque balance.
 
-    Solves phi(omega, u)/N = K (N omega)^2 / (N J).  The search is
-    restricted to tip-speed ratios above the kappa root, where the
-    aerodynamic-over-quadratic torque ratio decreases monotonically and
-    the balance is unique (this is the attracting equilibrium; a second,
-    repelling balance can exist at low tip-speed ratio).
+    Solves phi(omega, u)/N = K (N omega)^2 / (N J), which is
+    ``C_p(lambda) / lambda^3 = 2 K N^3 / (rho A R^3)``: the balance
+    tip-speed ratio does not depend on the wind, and at the optimal gain
+    it is ``lambda_star``.  The root is taken above the kappa root, where
+    the aerodynamic-over-quadratic torque ratio decreases monotonically
+    and the balance is unique (this is the attracting equilibrium; a
+    second, repelling balance can exist at low tip-speed ratio).  Returns
+    ``lambda u / R``.
     """
-    n = params.gear_ratio
-    j = params.inertia_equivalent
-
-    def residual(omega):
-        return (phi(params, curve, omega, u) / n
-                - k_opt * n * omega ** 2 / j)
-
-    lam_lo = max(curve.lambda_zero, curve.lambda_min) * (1 + 1e-9)
-    lo = max(lam_lo * u / params.rotor_radius, params.omega_r_min)
-    hi = curve.lambda_max * u / params.rotor_radius * (1 - 1e-9)
-    r_lo = residual(lo)
-    if r_lo == 0.0:
-        return lo
-    if r_lo < 0 or residual(hi) > 0:
+    if u <= 0:
+        raise EnvelopeError(f"wind speed must be positive, got {float(u)}")
+    ratio = (2.0 * k_opt * params.gear_ratio ** 3
+             / (params.rho * params.swept_area * params.rotor_radius ** 3))
+    omega = curve.balance_tip_speed_ratio(ratio) * u / params.rotor_radius
+    if not omega >= params.omega_r_min:
         raise EnvelopeError(
             "no stable torque balance inside the tip-speed-ratio envelope")
-    return _brentq(residual, lo, hi, 1e-12)
+    return omega
 
 
 def rk4_plant_step(params: TurbineParams, curve: CpCurve, omega_r: float,

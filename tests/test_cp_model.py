@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from rews import cp_model, turbine
-from rews.cp_model import (CpCurve, _brentq, _pchip_coefficients,
-                           default_cp_curve, load_cp_curve, read_curve_csv)
+from rews import turbine
+from rews.cp_model import (CpCurve, _pchip_coefficients, default_cp_curve,
+                           load_cp_curve, read_curve_csv)
 from rews.exceptions import CurveError, EnvelopeError
 
 from conftest import sine_cp
@@ -205,13 +205,15 @@ def test_lambda_zero_positive_kappa_returns_lambda_min(sine_curve):
         assert sine_curve.lambda_min < sine_curve.lambda_zero < sine_curve.lambda_star
 
 
-def test_lambda_zero_known_root():
+def _bell_table():
     # Bell curve exp(-(lam-7.5)^2 / (2 s2)) has kappa roots where
     # lam^2 - 7.5 lam + 3 s2 = 0; with s2 = 14/3 the larger root is 4.
-    s2 = 14.0 / 3.0
     lam = np.linspace(2.0, 10.0, 321)
-    cp = 0.48 * np.exp(-((lam - 7.5) ** 2) / (2 * s2))
-    curve = load_cp_curve(zip(lam, cp))
+    return lam, 0.48 * np.exp(-((lam - 7.5) ** 2) / (2 * 14.0 / 3.0))
+
+
+def test_lambda_zero_known_root():
+    curve = load_cp_curve(zip(*_bell_table()))
     assert curve.lambda_zero == pytest.approx(4.0, abs=5e-3)
     # The returned value is a genuine root of the interpolant's kappa.
     assert abs(curve.kappa(curve.lambda_zero)) <= 1e-8
@@ -219,10 +221,7 @@ def test_lambda_zero_known_root():
 
 def test_lambda_zero_bisection_oracle():
     # Independent plain bisection on kappa must agree with the solver.
-    s2 = 14.0 / 3.0
-    lam = np.linspace(2.0, 10.0, 321)
-    cp = 0.48 * np.exp(-((lam - 7.5) ** 2) / (2 * s2))
-    curve = load_cp_curve(zip(lam, cp))
+    curve = load_cp_curve(zip(*_bell_table()))
     lo, hi = 3.8, 4.2
     assert curve.kappa(lo) < 0 < curve.kappa(hi)
     for _ in range(60):
@@ -354,94 +353,62 @@ def test_pchip_coefficients_equal_scipy_bitwise():
         curve.lambda_grid, curve.cp_values).c.tobytes()
 
 
-def _scipy_brentq():
+def _peaked_curves(which, request):
+    if which == "bell":
+        return [load_cp_curve(zip(*_bell_table()))]
+    if which == "seeded":
+        curves = []
+        for table in _pchip_tables():
+            try:
+                curves.append(load_cp_curve(zip(*table)))
+            except CurveError:  # no single interior peak
+                pass
+        return curves
+    return [request.getfixturevalue(which)]
+
+
+@pytest.mark.parametrize("which", ["curve", "sine_curve", "bell", "seeded"])
+def test_lambda_zero_equals_scipy_root(which, request):
+    # lambda_zero is the largest kappa root below the peak: kappa > 0 above
+    # it, and it is SciPy's root on the last grid cell where kappa <= 0.
     brentq = pytest.importorskip("scipy.optimize").brentq
-    calls = []
-
-    def reference(f, a, b, xtol):
-        calls.append((a, b))
-        return float(brentq(f, a, b, xtol=xtol))
-    return reference, calls
-
-
-_BRENT_FUNCTIONS = [
-    lambda x: x ** 3 - 2.0 * x - 5.0,
-    lambda x: math.cos(x) - x,
-    lambda x: (x - 1.3) ** 3,
-    lambda x: 1e-8 * math.atan(x - 0.7),
-    lambda x: math.sin(5.0 * x) + 0.1,
-    lambda x: 1.0 if x > 0.3 else -1.0,
-]
+    curves = _peaked_curves(which, request)
+    assert curves
+    for curve in curves:
+        dense = np.linspace(curve.lambda_min, curve.lambda_star, 20001)
+        kv = curve.kappa(dense)
+        assert np.all(kv[dense > curve.lambda_zero] > 0)
+        below = np.flatnonzero(kv <= 0)
+        if below.size == 0:
+            assert curve.lambda_zero == curve.lambda_min
+            continue
+        i = below[-1]
+        root = brentq(curve.kappa, dense[i], dense[i + 1], xtol=1e-15)
+        assert abs(curve.lambda_zero - root) <= 1e-12, (curve.lambda_zero, root)
 
 
-@pytest.mark.parametrize("xtol", [1e-12, 1e-6])
-def test_brentq_equals_scipy_bitwise(xtol):
-    reference, _ = _scipy_brentq()
-    rng = np.random.default_rng(2)
-    compared = 0
-    for _ in range(200):
-        for f in _BRENT_FUNCTIONS:
-            a, b = sorted(rng.uniform(-5.0, 5.0, 2).tolist())
-            if (f(a) < 0) == (f(b) < 0):
-                continue
-            assert (_outcome(lambda: _brentq(f, a, b, xtol))
-                    == _outcome(lambda: reference(f, a, b, xtol))), (a, b)
-            compared += 1
-    assert compared > 300
+def test_steady_state_rotor_speed_equals_scipy_root(params, curve):
+    # Seeded gains and winds: the closed-form balance against SciPy's
+    # brentq on the torque residual over [lambda_zero, lambda_max], with
+    # the same refusals.
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    n, j, radius = params.gear_ratio, params.inertia_equivalent, params.rotor_radius
+    k_opt = turbine.optimal_torque_gain(params, curve)
+    rng = np.random.default_rng(2000)
+    gains = (k_opt * 10.0 ** rng.uniform(-1.0, 1.0, 2000)).tolist()
+    refused = 0
+    for k, u in zip(gains, rng.uniform(3.0, 12.0, 2000).tolist()):
+        def residual(w):
+            return turbine.phi(params, curve, w, u) / n - k * n * w * w / j
 
-
-def _outcome(solve):
-    # The root's bits, or the message of a failure to converge (the triple
-    # root of (x - 1.3)^3 stalls both solvers at 1e-12).
-    try:
-        return solve().hex()
-    except RuntimeError as err:
-        return str(err)
-
-
-@pytest.mark.parametrize("which", ["curve", "sine_curve", "bell"])
-def test_lambda_zero_equals_scipy_bitwise(which, request, monkeypatch):
-    if which == "bell":  # the table of test_lambda_zero_known_root
-        lam = np.linspace(2.0, 10.0, 321)
-        table = lam, 0.48 * np.exp(-((lam - 7.5) ** 2) / (2 * 14.0 / 3.0))
-    else:
-        curve = request.getfixturevalue(which)
-        table = curve.lambda_grid, curve.cp_values
-    ours = load_cp_curve(zip(*table)).lambda_zero
-    reference, calls = _scipy_brentq()
-    monkeypatch.setattr(cp_model, "_brentq", reference)
-    assert ours.hex() == load_cp_curve(zip(*table)).lambda_zero.hex()
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("u", [4.0, 7.0, 11.0])
-def test_steady_state_rotor_speed_equals_scipy_bitwise(u, curve, params,
-                                                       monkeypatch):
-    k = turbine.optimal_torque_gain(params, curve)
-    ours = turbine.steady_state_rotor_speed(params, curve, k, u)
-    reference, calls = _scipy_brentq()
-    monkeypatch.setattr(turbine, "_brentq", reference)
-    assert ours.hex() == turbine.steady_state_rotor_speed(params, curve, k, u).hex()
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("xtol", [0.0, -1e-12, math.nan])
-def test_brentq_rejects_nonpositive_xtol(xtol):
-    with pytest.raises(ValueError, match="xtol too small"):
-        _brentq(lambda x: x, -1.0, 1.0, xtol)
-
-
-def test_brentq_rejects_bracket_without_sign_change():
-    with pytest.raises(ValueError, match="different signs"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
-
-
-def test_brentq_names_x_where_the_function_is_nan():
-    with pytest.raises(ValueError, match=r"at x=0\.5 is NaN"):
-        _brentq(lambda x: math.nan if x == 0.5 else x - 0.25, -1.0, 0.5, 1e-12)
-
-
-def test_brentq_raises_when_not_converged():
-    # A sign step forces bisection, which needs ~1000 halvings here.
-    with pytest.raises(RuntimeError, match="converge after 100 iterations"):
-        _brentq(lambda x: 1.0 if x > 0.5 else -1.0, -1e300, 1e300, 1e-12)
+        lo = curve.lambda_zero * (1 + 1e-12) * u / radius
+        hi = curve.lambda_max * (1 - 1e-12) * u / radius
+        if residual(lo) < 0 or residual(hi) > 0:
+            refused += 1
+            with pytest.raises(EnvelopeError, match="no stable torque balance"):
+                turbine.steady_state_rotor_speed(params, curve, k, u)
+            continue
+        expected = brentq(residual, lo, hi, xtol=1e-15)
+        got = turbine.steady_state_rotor_speed(params, curve, k, u)
+        assert abs(got - expected) <= 1e-14 * expected, (k, u)
+    assert 500 < refused < 1500

@@ -696,6 +696,29 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, text, message", [
+        ("cp_curve", "lambda,cp\n2.0,0.1\n4.0,abc\n6.0,0.3\n",
+         "line 3 has a field that is not a number: '4.0,abc'"),
+        ("turbine", "rho = 1.225\nrotor_radius = sixty\n",
+         "line 2: rotor_radius is not a number: 'sixty'"),
+        ("turbine", "rho = 1.225\nrotor_radius = 63\ngear_ratio = 97\n"
+                    "inertia_generator = 534.116\ninertia_rotor = 3.8759228e7\n"
+                    "rho = 2\n", "line 6 repeats 'rho'"),
+    ], ids=["curve-not-a-number", "params-not-a-number", "params-repeated-key"])
+    def test_bad_model_file_names_its_line(self, tmp_path, capsys,
+                                           field, text, message):
+        model = tmp_path / "model.txt"
+        model.write_text(text)
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({"wind_profile": [[0.0, 7.0]], "duration": 1.0,
+                                   "estimator": {"family": "pi", "gamma": 40.0},
+                                   field: str(model)}))
+        rc = cli_main(["simulate", "--scenario", str(scn),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("content", [b'{"wind_profile": [[0, 5]],', b"\xff\xfe",
                                          b"[" * 100_000],
                              ids=["truncated", "not-utf8", "deeply-nested"])

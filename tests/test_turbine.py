@@ -232,11 +232,13 @@ class TestController:
         assert lam == pytest.approx(curve.lambda_star, abs=1e-6)
 
     def test_steady_state_map_matches_peak(self, params, curve):
+        # At K_opt the balance C_p / lambda^3 = C_p* / lambda_star^3 has the
+        # peak knot as its root, whatever the wind.
         k_opt = optimal_torque_gain(params, curve)
-        for u in (5.0, 7.0, 9.0):
+        for u in np.linspace(3.0, 12.0, 2001).tolist():
             w = steady_state_rotor_speed(params, curve, k_opt, u)
-            assert w * params.rotor_radius / u == pytest.approx(
-                curve.lambda_star, rel=1e-9)
+            expected = curve.lambda_star * u / params.rotor_radius
+            assert abs(w - expected) <= 1e-15 * expected, u
 
 
 class TestStepPlant:
