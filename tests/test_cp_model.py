@@ -387,6 +387,28 @@ def test_lambda_zero_equals_scipy_root(which, request):
         assert abs(curve.lambda_zero - root) <= 1e-12, (curve.lambda_zero, root)
 
 
+@pytest.mark.parametrize("u", [4.0, 7.0, 11.0])
+def test_steady_state_rotor_speed_equals_scipy_bitwise(u, curve, params):
+    # At the optimal gain the closed-form balance is the torque residual's
+    # root to the last bit: the residual changes sign across its two float
+    # neighbours, and SciPy's brentq at its finest tolerance lands on it or
+    # on the float next to it.
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    n, j = params.gear_ratio, params.inertia_equivalent
+    k = turbine.optimal_torque_gain(params, curve)
+
+    def residual(w):
+        return turbine.phi(params, curve, w, u) / n - k * n * w * w / j
+
+    ours = turbine.steady_state_rotor_speed(params, curve, k, u)
+    assert residual(math.nextafter(ours, 0.0)) >= 0.0
+    assert residual(math.nextafter(ours, math.inf)) <= 0.0
+    lo = curve.lambda_zero * (1 + 1e-9) * u / params.rotor_radius
+    hi = curve.lambda_max * (1 - 1e-9) * u / params.rotor_radius
+    expected = float(brentq(residual, lo, hi, xtol=1e-15))
+    assert abs(ours - expected) <= math.ulp(ours), (ours.hex(), expected.hex())
+
+
 def test_steady_state_rotor_speed_equals_scipy_root(params, curve):
     # Seeded gains and winds: the closed-form balance against SciPy's
     # brentq on the torque residual over [lambda_zero, lambda_max], with
