@@ -50,22 +50,20 @@ class CpCurve:
     lambda_max: float = field(init=False)
     lambda_zero: float = field(init=False)
     # The grid and the Horner coefficients per segment, as floats for
-    # _cp_scalar.
+    # _cp_scalar, the one C_p evaluator.
     _breaks: list = field(init=False, repr=False)
     _coeffs: list = field(init=False, repr=False)
-    _c: np.ndarray = field(init=False, repr=False)  # _coeffs.T, for _cp_array
 
     def __post_init__(self):
         lam = np.array(self.lambda_grid, dtype=float)
         cp = np.array(self.cp_values, dtype=float)
         peak = _peak_knot(lam, cp)
         c = _pchip_coefficients(lam, cp)
-        for arr in (lam, cp, c):
+        for arr in (lam, cp):
             arr.flags.writeable = False
         for name, value in (("lambda_grid", lam), ("cp_values", cp),
                             ("_breaks", lam.tolist()),
-                            ("_coeffs", [tuple(row) for row in c.T.tolist()]),
-                            ("_c", c)):
+                            ("_coeffs", [tuple(row) for row in c.T.tolist()])):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "lambda_star", self._breaks[peak])
         object.__setattr__(self, "lambda_min", self._breaks[0])
@@ -93,9 +91,8 @@ class CpCurve:
                                 f"[{self.lambda_min}, {self.lambda_max}]")
 
     def _cp_scalar(self, lam: float) -> float:
-        # The simulator's C_p path, run several times per step; the caller
-        # checks the envelope.  Same segment choice and Horner order as
-        # _cp_array, so equal bit for bit.
+        # The one C_p evaluator, run several times per simulator step; the
+        # caller checks the envelope.
         breaks = self._breaks
         i = bisect_right(breaks, lam) - 1
         if i < 0:
@@ -106,37 +103,35 @@ class CpCurve:
         c0, c1, c2, c3 = self._coeffs[i]
         return ((c0 * t + c1) * t + c2) * t + c3
 
-    def _cp_array(self, lam: np.ndarray, derivative: bool = False) -> np.ndarray:
-        # The query evaluator (see _query); no envelope check.
-        breaks = self.lambda_grid
-        i = np.clip(np.searchsorted(breaks, lam, side="right") - 1,
-                    0, breaks.size - 2)
-        t = lam - breaks[i]
-        c = self._c[:, i]
-        if derivative:
-            return (3.0 * c[0] * t + 2.0 * c[1]) * t + c[2]
-        return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+    def _cp_prime_scalar(self, lam: float) -> float:
+        # dC_p/dlambda on _cp_scalar's segment.
+        i = min(max(bisect_right(self._breaks, lam) - 1, 0), len(self._breaks) - 2)
+        t = lam - self._breaks[i]
+        c0, c1, c2, _ = self._coeffs[i]
+        return (3.0 * c0 * t + 2.0 * c1) * t + c2
 
     def _query(self, lam, evaluate):
-        # One envelope check, then the evaluator: an array for an array,
-        # a Python float for a number.
+        # One envelope check, then the scalar evaluator over every element:
+        # an array for an array, a Python float for a number.
         lam = np.asarray(lam, dtype=float)
         self._check_envelope(lam)
-        value = evaluate(lam)
-        return value if lam.ndim else float(value)
+        if not lam.ndim:
+            return evaluate(float(lam))
+        return np.fromiter(map(evaluate, lam.ravel().tolist()), float,
+                           lam.size).reshape(lam.shape)
 
     def cp(self, lam):
         """Interpolated power coefficient at tip-speed ratio ``lam``."""
-        return self._query(lam, self._cp_array)
+        return self._query(lam, self._cp_scalar)
 
     def cp_prime(self, lam):
         """Derivative dC_p/dlambda of the interpolant."""
-        return self._query(lam, lambda x: self._cp_array(x, derivative=True))
+        return self._query(lam, self._cp_prime_scalar)
 
     def kappa(self, lam):
         """(3/lambda) C_p(lambda) - C_p'(lambda), the monotonicity term."""
-        return self._query(lam, lambda x: 3.0 / x * self._cp_array(x)
-                           - self._cp_array(x, derivative=True))
+        return self._query(lam, lambda x: 3.0 / x * self._cp_scalar(x)
+                           - self._cp_prime_scalar(x))
 
     def balance_tip_speed_ratio(self, ratio: float) -> float:
         """The tip-speed ratio in ``[lambda_zero, lambda_max]`` at which

@@ -104,26 +104,21 @@ def init_estimator(config: EstimatorConfig, omega_r0: float, u_guess: float,
                           integral_eps=u_guess / config.beta)
 
 
-def _torque_balance(params: TurbineParams, curve: CpCurve, state: EstimatorState,
-                    omega_r: float, t_g: float, u_hat: float) -> float:
-    """Queue ``u_hat`` on the delay line and return the torque balance
-    ``phi/n - T_g/(n J)`` at the estimate that leaves it."""
+def step_estimator(params: TurbineParams, curve: CpCurve, state: EstimatorState,
+                   omega_r: float, t_g: float, config: EstimatorConfig) -> float:
+    """One Euler update; returns the estimate emitted from the pre-update state.
+
+    The estimate joins the delay line, and the one leaving it drives the
+    torque balance ``phi/n - T_g/(n J)``."""
+    dt = state.dt
+    eps = omega_r - state.omega_hat_r
+    u_hat = config.gamma * eps + config.beta * state.integral_eps
     line = state.delay_line
     line.append(u_hat)
     phi_val, clamped = phi_clamped(params, curve, omega_r, line.popleft())
     if clamped:
         state.clamp_count += 1
     n = params.gear_ratio
-    return phi_val / n - t_g / (n * params.inertia_equivalent)
-
-
-def step_estimator(params: TurbineParams, curve: CpCurve, state: EstimatorState,
-                   omega_r: float, t_g: float, config: EstimatorConfig) -> float:
-    """One Euler update; returns the estimate emitted from the pre-update state."""
-    dt = state.dt
-    eps = omega_r - state.omega_hat_r
-    u_hat = config.gamma * eps + config.beta * state.integral_eps
-    drive = _torque_balance(params, curve, state, omega_r, t_g, u_hat)
     state.integral_eps += dt * eps
-    state.omega_hat_r += dt * drive
+    state.omega_hat_r += dt * (phi_val / n - t_g / (n * params.inertia_equivalent))
     return u_hat

@@ -110,8 +110,7 @@ class Scenario:
         if starts[-1] >= self.n_steps():
             raise ConfigError("last wind segment starts after the run ends")
         _grid_steps(self.estimator.delay_T, self.dt, "delay")
-        if not 0 < self.controller_gain < math.inf:
-            raise ConfigError("controller gain must be positive and finite")
+        _check_controller_gain(self.controller_gain)
         if not self.turbine.omega_r_min <= self.initial_omega_r < math.inf:
             raise ConfigError("initial rotor speed must be finite and not "
                               "below the lower bound")
@@ -125,6 +124,13 @@ class Scenario:
     def wind_steps(self) -> list:
         """Grid step at which each wind segment starts."""
         return [_grid_steps(t, self.dt, "wind start") for t, _ in self.wind_profile]
+
+
+def _check_controller_gain(k: float) -> float:
+    """``k``; ConfigError unless it is positive and finite."""
+    if not 0 < k < math.inf:
+        raise ConfigError("controller gain must be positive and finite")
+    return k
 
 
 def _grid_steps(value: float, dt: float, what: str) -> int:
@@ -146,7 +152,6 @@ class SimTrace:
     u_true: np.ndarray
     omega_r: np.ndarray
     omega_hat_r: np.ndarray   # observer rotor speed
-    eps: np.ndarray           # omega_r - omega_hat_r
     u_hat: np.ndarray
     t_g: np.ndarray
     clamp_count: np.ndarray   # cumulative feedback-path envelope clamps
@@ -158,6 +163,11 @@ class SimTrace:
     @property
     def stopped_early(self) -> bool:
         return self.stop_time is not None
+
+    @property
+    def eps(self) -> np.ndarray:
+        """Speed error ``omega_r - omega_hat_r``."""
+        return self.omega_r - self.omega_hat_r
 
 
 def run_scenario(scn: Scenario) -> SimTrace:
@@ -263,14 +273,12 @@ def run_shared_plant(scenarios) -> list:
     for run in runs:
         stopped = run.last is not None
         sl = slice(0, (run.last if stopped else n) + 1)
-        omega_hat = run.omega_hat[sl]
         traces.append(SimTrace(
             scenario=run.scenario,
             t=times[sl],
             u_true=u_arr[sl],
             omega_r=omega[sl],
-            omega_hat_r=omega_hat,
-            eps=omega[sl] - omega_hat,
+            omega_hat_r=run.omega_hat[sl],
             u_hat=run.u_hat[sl],
             t_g=t_g[sl],
             clamp_count=run.clamps[sl],
@@ -444,10 +452,19 @@ def read_trace_csv(path) -> dict:
     """Read a trace CSV back into named float arrays."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != _TRACE_COLUMNS:
             raise ConfigError(f"{path}: unexpected trace header {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):  # skips blank lines
+            if len(row) != len(header):
+                raise ConfigError(f"{path}: line {reader.line_num} has {len(row)} "
+                                  f"fields, not {len(header)}: {','.join(row)!r}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise ConfigError(f"{path}: line {reader.line_num} has a field "
+                                  f"that is not a number: {','.join(row)!r}") from None
     data = np.array(rows, dtype=float)
     if data.size == 0:
         raise ConfigError(f"{path}: empty trace")
@@ -477,7 +494,8 @@ def scenario_from_json(spec: dict) -> Scenario:
                  else read_curve_csv(os.fspath(curve_spec)))
 
         gain = spec.get("controller_gain", "optimal")
-        k_opt = optimal_torque_gain(params, curve) if gain == "optimal" else float(gain)
+        k_opt = (optimal_torque_gain(params, curve) if gain == "optimal"
+                 else _check_controller_gain(float(gain)))  # before the steady solve
 
         config = EstimatorConfig(
             family=Family(est.get("family", "pi")),

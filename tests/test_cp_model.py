@@ -349,7 +349,7 @@ def test_pchip_coefficients_equal_scipy_bitwise():
         ours = _pchip_coefficients(lam, cp)
         assert ours.tobytes() == PchipInterpolator(lam, cp).c.tobytes(), (lam, cp)
     curve = default_cp_curve()
-    assert curve._c.tobytes() == PchipInterpolator(
+    assert np.array(curve._coeffs).T.tobytes() == PchipInterpolator(
         curve.lambda_grid, curve.cp_values).c.tobytes()
 
 

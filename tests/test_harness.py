@@ -195,6 +195,13 @@ class TestRunScenario:
         assert not dataclasses.replace(trace, stop_time=None).stopped_early
         assert "stopped_early" not in {f.name for f in dataclasses.fields(SimTrace)}
 
+    def test_speed_error_is_derived_from_the_recorded_speeds(self):
+        trace = run_scenario(_scenario(delay_T=0.3, duration=5.0))
+        assert "eps" not in {f.name for f in dataclasses.fields(SimTrace)}
+        expected = trace.omega_r - trace.omega_hat_r
+        assert trace.eps.tobytes() == expected.tobytes()
+        assert np.any(trace.eps != 0.0)
+
     def test_internal_state_family_runs_the_proportional_observer(self):
         # I&I runs the proportional observer, so with equal gains its
         # trace is the P trace, observer columns included.
@@ -379,15 +386,29 @@ class TestSerialization:
 
     def test_trace_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ConfigError, match="header"):
+        for text in ("a,b\n1,2\n", ""):  # another header, then none
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="header"):
+                read_trace_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.0,5.0,0.5", "line 3 has 3 fields, not 8: '0.0,5.0,0.5'"),
+        ("0.0,5.0,0.5,0.5,0.0,x,0.0,0.0",
+         "line 3 has a field that is not a number: '0.0,5.0,0.5,0.5,0.0,x,0.0,0.0'"),
+    ], ids=["short-row", "not-a-number"])
+    def test_trace_csv_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(_TRACE_COLUMNS) + "\n0,5,0.5,0.5,0,5,0,0\n"
+                        + row + "\n")
+        with pytest.raises(ConfigError) as info:
             read_trace_csv(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_empty_trace_refused(self, tmp_path):
         trace = run_scenario(_scenario(duration=5.0))
         empty = SimTrace(
             scenario=trace.scenario,
-            **{c: getattr(trace, c)[:0] for c in _TRACE_COLUMNS})
+            **{c: getattr(trace, c)[:0] for c in _TRACE_COLUMNS if c != "eps"})
         with pytest.raises(ConfigError):
             write_trace_csv(empty, tmp_path / "empty.csv")
         with pytest.raises(ConfigError):
@@ -558,7 +579,11 @@ class TestCli:
         ({"duration": math.inf}, "duration and dt must be positive and finite"),
         ({"estimator": {"family": "pi", "gamma": math.inf}},
          "gamma must be positive and finite, got inf"),
-    ], ids=["nan", "inf", "gamma-inf"])
+        # Refused before the "steady" initial speed is solved for it.
+        ({"controller_gain": -1.0}, "controller gain must be positive and finite"),
+        ({"controller_gain": 0.0}, "controller gain must be positive and finite"),
+        ({"controller_gain": math.nan}, "controller gain must be positive and finite"),
+    ], ids=["nan", "inf", "gamma-inf", "gain-negative", "gain-zero", "gain-nan"])
     def test_non_finite_scenario_is_a_clean_error(self, tmp_path, capsys,
                                                   recwarn, change, message):
         spec = {"wind_profile": [[0.0, 7.0]], "duration": 10.0,
@@ -584,6 +609,20 @@ class TestCli:
                          "--delay", "0.3", "--out", str(out2),
                          "--require-certified"]) == 2
         assert (out2 / "verdict.json").exists()
+
+    def test_simulate_require_certified_exits_2_when_refused(self, tmp_path,
+                                                             capsys):
+        # Case 2's gains: the run converges, the criterion refuses them.
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({"wind_profile": [[0.0, 7.0]], "duration": 1.0,
+                                   "estimator": {"family": "pi", "gamma": 100.0,
+                                                 "beta": 10.0, "delay": 0.3}}))
+        out = tmp_path / "o"
+        rc = cli_main(["simulate", "--scenario", str(scn), "--out", str(out),
+                       "--require-certified"])
+        assert rc == 2
+        assert "criterion: NotCertified" in capsys.readouterr().out
+        assert json.loads((out / "verdict.json").read_text())["verdict"] == "NotCertified"
 
     def test_stability_command_matches_emit_outputs(self, tmp_path):
         circle = case_study_circle()

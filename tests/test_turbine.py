@@ -159,6 +159,12 @@ class TestPhi:
         u_lo = 1.0 * params.rotor_radius / curve.lambda_max
         assert val_lo == pytest.approx(phi(params, curve, 1.0, u_lo), rel=1e-12)
 
+    def test_phi_clamped_refuses_a_rotor_speed_below_the_bound(self, params, curve):
+        # Only the wind is clamped; a rotor speed below the bound is an error.
+        with pytest.raises(EnvelopeError,
+                           match=r"^rotor speed 0\.05 below the lower bound 0\.1$"):
+            phi_clamped(params, curve, 0.05, 8.0)
+
 
 class TestPhiPrime:
     def test_positive_above_kappa_root(self, params, curve):
@@ -239,6 +245,13 @@ class TestController:
             w = steady_state_rotor_speed(params, curve, k_opt, u)
             expected = curve.lambda_star * u / params.rotor_radius
             assert abs(w - expected) <= 1e-15 * expected, u
+
+    @pytest.mark.parametrize("u", [0.0, -3.0])
+    def test_steady_state_refuses_a_non_positive_wind(self, params, curve, u):
+        k_opt = optimal_torque_gain(params, curve)
+        with pytest.raises(EnvelopeError,
+                           match=f"^wind speed must be positive, got {u}$"):
+            steady_state_rotor_speed(params, curve, k_opt, u)
 
 
 class TestStepPlant:
