@@ -89,7 +89,7 @@ def _dispatch(args) -> int:
         circle = stability.circle_from_gains(args.k1, args.k2)
         verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
         trace = harness.run_scenario(scn)
-        harness.emit_trace(trace, args.out)
+        harness.emit_traces([(trace, args.out)])
         harness.emit_certificate(verdict, args.out)
         label = harness.classify_trace(trace)
         print(f"simulation: {label}; criterion: {verdict.label} "

@@ -4,10 +4,13 @@ The estimator is a driven observer: the torque law acts on the measured
 rotor speed, so nothing an estimator does feeds back into the plant.
 :func:`run_shared_plant` is the one simulator.  It integrates the plant
 once over a piecewise-constant wind schedule and drives every estimator
-that shares that plant in lockstep; :func:`run_scenario` is its
-one-estimator case.  The module also classifies the resulting estimate
-traces, reproduces the six standard case studies, and emits the
-CSV/JSON/SVG artifacts through one CSV and one JSON writer.
+that shares that plant in lockstep, running each distinct scenario
+once; :func:`run_scenario` is its one-estimator case.  The module also
+classifies the resulting estimate traces, reproduces the six standard
+case studies, and emits the CSV/JSON/SVG artifacts through one CSV and
+one JSON writer.  The CSV writer streams several files at once and
+formats each distinct column block once, so the columns that the traces
+of one plant pass share are formatted once for all their files.
 """
 
 from __future__ import annotations
@@ -39,10 +42,9 @@ __all__ = [
     "case_study_circle",
     "make_step_wind_scenario",
     "scenario_from_json",
-    "write_trace_csv",
     "read_trace_csv",
     "emit_outputs",
-    "emit_trace",
+    "emit_traces",
     "emit_certificate",
     "CASE_STUDIES",
 ]
@@ -145,7 +147,8 @@ def _grid_steps(value: float, dt: float, what: str) -> int:
 
 @dataclass
 class SimTrace:
-    """Uniform-grid record of one closed-loop run."""
+    """Uniform-grid record of one closed-loop run.  The arrays that
+    :func:`run_shared_plant` stores are read-only: traces share them."""
 
     scenario: Scenario
     t: np.ndarray
@@ -190,11 +193,9 @@ def _plant_key(scn: Scenario) -> tuple:
 class _EstimatorRun:
     """Per-estimator state and record columns inside one plant pass."""
 
-    __slots__ = ("scenario", "config", "state", "omega_hat", "u_hat",
-                 "clamps", "last")
+    __slots__ = ("config", "state", "omega_hat", "u_hat", "clamps", "last")
 
     def __init__(self, scn: Scenario, n: int):
-        self.scenario = scn
         self.config = scn.estimator
         self.state = init_estimator(scn.estimator, scn.initial_omega_r,
                                     scn.initial_u_guess, scn.dt)
@@ -209,14 +210,17 @@ def run_shared_plant(scenarios) -> list:
 
     All scenarios must share the plant: wind profile, duration, dt,
     turbine, curve, controller gain and initial rotor speed.  A mismatch
-    raises :class:`ConfigError`.  At each grid step every live estimator
-    is updated from the measured rotor speed, then the plant takes one
-    RK4 step.  An estimator stops when its estimate exceeds the
-    divergence guard or goes non-finite; the plant stops with the last
-    live estimator, so an :class:`EnvelopeError` from the plant
-    propagates only while some estimator is still running.  Each trace
-    equals its solo :func:`run_scenario` bit for bit; the traces of one
-    call share their ``t``, ``u_true``, ``omega_r`` and ``t_g`` arrays.
+    raises :class:`ConfigError`.  Equal scenarios are run once.  At each
+    grid step every live estimator is updated from the measured rotor
+    speed, then the plant takes one RK4 step.  An estimator stops when
+    its estimate exceeds the divergence guard or goes non-finite; the
+    plant stops with the last live estimator, so an
+    :class:`EnvelopeError` from the plant propagates only while some
+    estimator is still running.  One trace is returned per scenario, in
+    order, and each equals its solo :func:`run_scenario` bit for bit.
+    The traces of one call share their ``t``, ``u_true``, ``omega_r``
+    and ``t_g`` arrays, and equal scenarios share all of theirs, so every
+    array is read-only.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -243,8 +247,8 @@ def run_shared_plant(scenarios) -> list:
 
     omega = np.empty(n + 1)
     t_g = np.empty(n + 1)
-    runs = [_EstimatorRun(scn, n) for scn in scenarios]
-    live = runs
+    runs = {scn: _EstimatorRun(scn, n) for scn in dict.fromkeys(scenarios)}
+    live = list(runs.values())
     w = first.initial_omega_r
 
     for k in range(n + 1):
@@ -269,12 +273,18 @@ def run_shared_plant(scenarios) -> list:
         if k < n:
             w = rk4_plant_step(params, curve, w, tg, u_step[k], dt)
 
+    for arr in (times, u_arr, omega, t_g):
+        arr.flags.writeable = False
+    for run in runs.values():
+        for arr in (run.omega_hat, run.u_hat, run.clamps):
+            arr.flags.writeable = False
     traces = []
-    for run in runs:
+    for scn in scenarios:
+        run = runs[scn]
         stopped = run.last is not None
         sl = slice(0, (run.last if stopped else n) + 1)
         traces.append(SimTrace(
-            scenario=run.scenario,
+            scenario=scn,
             t=times[sl],
             u_true=u_arr[sl],
             omega_r=omega[sl],
@@ -342,11 +352,16 @@ def make_step_wind_scenario(gamma: float, beta: float, delay_T: float,
     })
 
 
-def _case_row(name: str, trace: SimTrace, circle: CircleSpec) -> dict:
+def _certify(trace: SimTrace, circle: CircleSpec) -> DistanceVerdict:
+    """Verdict on the trace's estimator gains against ``circle``."""
+    cfg = trace.scenario.estimator
+    return stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
+
+
+def _case_row(name: str, trace: SimTrace, verdict: DistanceVerdict) -> dict:
     """One ``report.json`` row: configuration, verdict and simulation label."""
     cfg = trace.scenario.estimator
     label = classify_trace(trace)
-    verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
     return {
         "name": name,
         "family": cfg.family.value,
@@ -367,7 +382,8 @@ def run_case_studies(out_dir=None) -> dict:
     """Run the six gain/delay case studies plus the PI-vs-proportional
     comparison; return a structured report, optionally emitting files.
 
-    All eight runs share one plant pass."""
+    All eight runs share one plant pass, and each case is certified once
+    for both its report row and its certificate files."""
     circle = case_study_circle()
     scenarios = {name: make_step_wind_scenario(g, b, t)
                  for name, g, b, t in CASE_STUDIES}
@@ -375,7 +391,9 @@ def run_case_studies(out_dir=None) -> dict:
     scenarios["iandi_gamma80"] = make_step_wind_scenario(
         80.0, 0.0, 0.3, family=Family.IANDI)
     traces = dict(zip(scenarios, run_shared_plant(scenarios.values())))
-    rows = [_case_row(name, trace, circle) for name, trace in traces.items()]
+    verdicts = {name: _certify(trace, circle) for name, trace in traces.items()}
+    rows = [_case_row(name, trace, verdicts[name])
+            for name, trace in traces.items()]
 
     beta_margin = stability.max_stable_beta(40.0, 0.3, circle)
     delay_margin = stability.max_stable_delay(40.0, 10.0, circle)
@@ -401,8 +419,10 @@ def run_case_studies(out_dir=None) -> dict:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "report.json"), report)
-        for name, trace in traces.items():
-            emit_outputs(trace, os.path.join(out_dir, name), circle=circle)
+        dirs = {name: os.path.join(out_dir, name) for name in traces}
+        emit_traces([(trace, dirs[name]) for name, trace in traces.items()])
+        for name, verdict in verdicts.items():
+            emit_certificate(verdict, dirs[name])
     return report
 
 
@@ -412,26 +432,50 @@ def run_case_studies(out_dir=None) -> dict:
 _TRACE_COLUMNS = ["t", "u_true", "omega_r", "omega_hat_r", "eps",
                   "u_hat", "t_g", "clamp_count"]
 
-# Rows per formatted block: bounds the Python floats alive at once.
-_CSV_CHUNK = 4096
+# Rows per formatted chunk: bounds the strings alive at once.
+_CSV_CHUNK = 1024
+
+
+def _write_csvs(files) -> None:
+    """Write ``(path, header, columns)`` files of ``repr(float)`` rows, each
+    as long as its shortest column; re-reading reproduces the values
+    bit-exactly.
+
+    The files advance together ``_CSV_CHUNK`` rows at a time.  Within a
+    chunk, a column block with the bytes of a block already formatted,
+    in any file, reuses its strings; keying on bytes keeps ``0.0`` and
+    ``-0.0`` apart.  Rows end in ``"\r\n"`` and no ``repr`` of a float
+    holds a comma, quote or line break, so the bytes are those of
+    ``csv.writer`` (whose headers here need no quoting either)."""
+    files = [(path, header, [np.asarray(c, dtype=np.float64) for c in columns])
+             for path, header, columns in files]
+    lengths = [min(map(len, columns), default=0) for _, _, columns in files]
+    handles = []
+    try:
+        for path, header, _ in files:
+            handles.append(open(path, "w", newline="", encoding="utf-8"))
+            handles[-1].write(",".join(header) + "\r\n")
+        for start in range(0, max(lengths, default=0), _CSV_CHUNK):
+            formatted = {}
+            for fh, (_, _, columns), n in zip(handles, files, lengths):
+                if start >= n:
+                    continue
+                strs = []
+                for c in columns:
+                    block = c[start:min(start + _CSV_CHUNK, n)]
+                    key = block.tobytes()
+                    if key not in formatted:  # tolist(): float, not np.float64
+                        formatted[key] = list(map(repr, block.tolist()))
+                    strs.append(formatted[key])
+                fh.write("\r\n".join(map(",".join, zip(*strs))) + "\r\n")
+    finally:
+        for fh in handles:
+            fh.close()
 
 
 def _write_csv(path, header, columns) -> None:
-    """Stream ``repr(float)`` rows of equal-length columns under ``header``;
-    re-reading reproduces the values bit-exactly.
-
-    Rows go out ``_CSV_CHUNK`` at a time: ``csv`` writes a Python float
-    as its ``repr``, and ``tolist()`` of a float64 block yields Python
-    floats (a numpy scalar would repr as ``np.float64(...)``)."""
-    n = min(map(len, columns), default=0)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for start in range(0, n, _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, n)
-            block = np.column_stack(
-                [np.asarray(c[start:stop], dtype=np.float64) for c in columns])
-            writer.writerows(block.tolist())
+    """One file of :func:`_write_csvs`."""
+    _write_csvs([(path, header, columns)])
 
 
 def _write_json(path, obj) -> None:
@@ -439,13 +483,6 @@ def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
-
-
-def write_trace_csv(trace: SimTrace, path) -> None:
-    """Full-precision trace CSV; re-reading reproduces the arrays bit-exactly."""
-    if len(trace) == 0:
-        raise ConfigError("refusing to write an empty trace")
-    _write_csv(path, _TRACE_COLUMNS, [getattr(trace, c) for c in _TRACE_COLUMNS])
 
 
 def read_trace_csv(path) -> dict:
@@ -522,32 +559,42 @@ def scenario_from_json(spec: dict) -> Scenario:
 
 
 def emit_outputs(trace: SimTrace, out_dir, circle: CircleSpec) -> list:
-    """Write the trace files (see :func:`emit_trace`) and the certificate
+    """Write the trace files (see :func:`emit_traces`) and the certificate
     files of the estimator's gains against ``circle`` (see
     :func:`emit_certificate`); return the written paths."""
-    cfg = trace.scenario.estimator
-    verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
-    return emit_trace(trace, out_dir) + emit_certificate(verdict, out_dir)
+    verdict = _certify(trace, circle)
+    return emit_traces([(trace, out_dir)])[0] + emit_certificate(verdict, out_dir)
 
 
-def emit_trace(trace: SimTrace, out_dir) -> list:
-    """Write ``trace.csv``, ``timeseries.svg`` and ``rotor_speed.svg``;
-    return their paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path, wind_path, speed_path = (
-        os.path.join(out_dir, name)
-        for name in ("trace.csv", "timeseries.svg", "rotor_speed.svg"))
-    write_trace_csv(trace, csv_path)
-    svgplot.line_chart(wind_path, trace.t,
-                       [("U", trace.u_true), ("U_hat", trace.u_hat)],
-                       title="Wind speed estimate", xlabel="t [s]",
-                       ylabel="wind speed [m/s]")
-    svgplot.line_chart(speed_path, trace.t,
-                       [("omega_r", trace.omega_r),
-                        ("omega_hat_r", trace.omega_hat_r)],
-                       title="Rotor speed", xlabel="t [s]",
-                       ylabel="rotor speed [rad/s]")
-    return [csv_path, wind_path, speed_path]
+def emit_traces(runs) -> list:
+    """Write ``trace.csv``, ``timeseries.svg`` and ``rotor_speed.svg`` for
+    each ``(trace, out_dir)`` of ``runs``; return each run's paths.
+    ``trace.csv`` holds the full-precision trace: :func:`read_trace_csv`
+    reproduces its arrays bit-exactly.
+
+    All the CSV files go out in one :func:`_write_csvs` call, so a
+    column block that several traces share is formatted once."""
+    names = ("trace.csv", "timeseries.svg", "rotor_speed.svg")
+    runs = [(trace, out_dir, [os.path.join(out_dir, name) for name in names])
+            for trace, out_dir in runs]
+    if any(len(trace) == 0 for trace, _, _ in runs):
+        raise ConfigError("refusing to write an empty trace")
+    for _, out_dir, _ in runs:
+        os.makedirs(out_dir, exist_ok=True)
+    _write_csvs([(paths[0], _TRACE_COLUMNS,
+                  [getattr(trace, c) for c in _TRACE_COLUMNS])
+                 for trace, _, paths in runs])
+    for trace, _, (_, wind_path, speed_path) in runs:
+        svgplot.line_chart(wind_path, trace.t,
+                           [("U", trace.u_true), ("U_hat", trace.u_hat)],
+                           title="Wind speed estimate", xlabel="t [s]",
+                           ylabel="wind speed [m/s]")
+        svgplot.line_chart(speed_path, trace.t,
+                           [("omega_r", trace.omega_r),
+                            ("omega_hat_r", trace.omega_hat_r)],
+                           title="Rotor speed", xlabel="t [s]",
+                           ylabel="rotor speed [rad/s]")
+    return [paths for _, _, paths in runs]
 
 
 def emit_certificate(verdict: DistanceVerdict, out_dir) -> list:

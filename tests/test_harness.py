@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -15,11 +16,11 @@ from rews import harness, stability
 from rews.estimators import Family, init_estimator, step_estimator
 from rews.exceptions import ConfigError, CurveError, EnvelopeError
 from rews.harness import (_CSV_CHUNK, _TRACE_COLUMNS, CASE_STUDIES, Scenario,
-                          SimTrace, _write_csv, _write_json,
+                          SimTrace, _write_csv, _write_csvs, _write_json,
                           case_study_circle, classify_trace, emit_outputs,
-                          make_step_wind_scenario, read_trace_csv,
-                          run_case_studies, run_scenario, run_shared_plant,
-                          scenario_from_json, write_trace_csv)
+                          emit_traces, make_step_wind_scenario,
+                          read_trace_csv, run_case_studies, run_scenario,
+                          run_shared_plant, scenario_from_json)
 from rews.stability import certify
 from rews.turbine import rk4_plant_step
 from rews.cli import main as cli_main
@@ -258,6 +259,36 @@ class TestSharedPlant:
         assert {type(x) for x in seen} == {float}
         assert all(tr.u_true.dtype == np.float64 for tr in traces)
 
+    def test_equal_scenarios_run_once(self, monkeypatch):
+        calls = []
+
+        def counting(params, curve, state, omega_r, t_g, config):
+            calls.append(state)
+            return step_estimator(params, curve, state, omega_r, t_g, config)
+
+        scenarios = [_scenario(duration=1.0, delay_T=0.3)]
+        scenarios.append(dataclasses.replace(scenarios[0]))
+        monkeypatch.setattr(harness, "step_estimator", counting)
+        first, second = run_shared_plant(scenarios)
+        assert len(calls) == scenarios[0].n_steps() + 1
+        assert len({id(state) for state in calls}) == 1
+        assert first.scenario is scenarios[0] and second.scenario is scenarios[1]
+        for name in _TRACE_COLUMNS:
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
+
+    def test_trace_arrays_are_read_only(self):
+        # Traces of one pass share arrays, so a write must not reach another.
+        scn = _scenario(duration=1.0)
+        traces = run_shared_plant([scn, scn, _scenario(duration=1.0, gamma=80.0)])
+        fields = [f.name for f in dataclasses.fields(SimTrace)
+                  if isinstance(getattr(traces[0], f.name), np.ndarray)]
+        assert len(fields) == 7
+        for trace in traces:
+            for name in fields:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(trace, name)[0] = 1.0
+        assert traces[1].omega_r[0] == scn.initial_omega_r
+
     def test_guard_trip_before_the_plant_leaves_the_envelope(self):
         # The long-delay loop trips the divergence guard at about 98.6 s,
         # before the drop: the run is recorded, not raised.
@@ -355,9 +386,8 @@ class TestSerialization:
     def test_trace_csv_round_trip_bit_exact(self, tmp_path):
         trace = run_scenario(_scenario(family=Family.IANDI, beta=0.0,
                                        duration=5.0))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        data = read_trace_csv(path)
+        emit_traces([(trace, tmp_path)])
+        data = read_trace_csv(tmp_path / "trace.csv")
         for name in _TRACE_COLUMNS:
             assert np.array_equal(data[name], getattr(trace, name)), name
 
@@ -383,6 +413,38 @@ class TestSerialization:
             _write_csv(path, header[:len(cols)], cols)
             assert path.read_bytes() == expected.read_bytes()
             assert path.read_bytes().count(b"\r\n") == n + 1
+
+    def test_write_csvs_bytes_match_csv_writer(self, tmp_path):
+        # Files written together share formatted blocks; each file's bytes
+        # must still equal csv.writer over repr(float) of its own columns.
+        n = 2 * _CSV_CHUNK + 7
+        rng = np.random.default_rng(26)
+        shared = rng.normal(size=n)
+        zeros = np.zeros(n)
+        negative_zeros = zeros.copy()
+        negative_zeros[_CSV_CHUNK + 3] = -0.0
+        special = np.resize([np.nan, np.inf, -np.inf, 1.0], n)
+        files = {
+            "a.csv": (["shared", "zero", "special"], [shared, zeros, special]),
+            "b.csv": (["shared", "zero", "own"],
+                      [shared, negative_zeros, rng.normal(size=n)]),
+            "dup.csv": (["shared", "zero", "special"], [shared, zeros, special]),
+            # Ends mid-chunk, so its blocks are shorter than the others'.
+            "short.csv": (["shared", "special"],
+                          [shared[:_CSV_CHUNK + 5], special[:_CSV_CHUNK + 5]]),
+            "empty.csv": (["x"], [zeros[:0]]),
+        }
+        _write_csvs([(tmp_path / name, header, cols)
+                     for name, (header, cols) in files.items()])
+        for name, (header, cols) in files.items():
+            expected = io.StringIO(newline="")
+            writer = csv.writer(expected)
+            writer.writerow(header)
+            writer.writerows([repr(float(v)) for v in row] for row in zip(*cols))
+            assert (tmp_path / name).read_bytes() == expected.getvalue().encode(), name
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "dup.csv").read_bytes()
+        row = (tmp_path / "b.csv").read_text().splitlines()[_CSV_CHUNK + 4]
+        assert row.split(",")[1] == "-0.0"
 
     def test_trace_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -410,7 +472,8 @@ class TestSerialization:
             scenario=trace.scenario,
             **{c: getattr(trace, c)[:0] for c in _TRACE_COLUMNS if c != "eps"})
         with pytest.raises(ConfigError):
-            write_trace_csv(empty, tmp_path / "empty.csv")
+            emit_traces([(trace, tmp_path / "full"), (empty, tmp_path / "empty")])
+        assert not (tmp_path / "full").exists()
         with pytest.raises(ConfigError):
             emit_outputs(empty, tmp_path / "empty", circle=case_study_circle())
 
@@ -496,7 +559,7 @@ class TestEmitOutputs:
 
     def test_report_circle_is_every_verdict_circle(self, tmp_path, monkeypatch):
         # Only the certificate files matter here, so skip the trace files.
-        monkeypatch.setattr(harness, "emit_trace", lambda trace, out_dir: [])
+        monkeypatch.setattr(harness, "emit_traces", lambda runs: [])
         report = run_case_studies(out_dir=tmp_path)
         circle = json.loads((tmp_path / "report.json").read_text())["circle"]
         assert circle == report["circle"] == case_study_circle().as_dict()
@@ -506,6 +569,22 @@ class TestEmitOutputs:
         for path in verdicts:
             record = json.loads(path.read_text())
             assert {key: record[key] for key in circle} == circle, path
+
+    def test_case_studies_certify_each_case_once(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def counting(*args):
+            calls[args] = calls.get(args, 0) + 1
+            return certify(*args)
+
+        monkeypatch.setattr(stability, "certify", counting)
+        monkeypatch.setattr(harness, "emit_traces", lambda runs: [])
+        run_case_studies(out_dir=tmp_path)
+        assert len(list(tmp_path.glob("*/verdict.json"))) == 8
+        with_files = dict(calls)
+        calls.clear()
+        run_case_studies()
+        assert with_files == calls
 
     def test_report_artifact(self, tmp_path):
         report = {"cases": [{"name": "case1", "min_distance": 26.437023491820906,
