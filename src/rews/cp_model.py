@@ -81,13 +81,10 @@ class CpCurve:
     def __hash__(self):
         return hash(self._table())
 
-    def _check_envelope(self, lam) -> None:
-        """Raise EnvelopeError naming the first tip-speed ratio in ``lam``
-        (a number or an array) outside ``[lambda_min, lambda_max]``."""
-        lam = np.asarray(lam, dtype=float)
-        outside = lam[~((lam >= self.lambda_min) & (lam <= self.lambda_max))]
-        if outside.size:
-            raise EnvelopeError(f"tip-speed ratio {float(outside[0])} outside "
+    def _check_envelope(self, lam: float) -> None:
+        """Raise EnvelopeError unless ``lam`` is in ``[lambda_min, lambda_max]``."""
+        if not self.lambda_min <= lam <= self.lambda_max:
+            raise EnvelopeError(f"tip-speed ratio {float(lam)} outside "
                                 f"[{self.lambda_min}, {self.lambda_max}]")
 
     def _cp_scalar(self, lam: float) -> float:
@@ -102,36 +99,6 @@ class CpCurve:
         t = lam - breaks[i]
         c0, c1, c2, c3 = self._coeffs[i]
         return ((c0 * t + c1) * t + c2) * t + c3
-
-    def _cp_prime_scalar(self, lam: float) -> float:
-        # dC_p/dlambda on _cp_scalar's segment.
-        i = min(max(bisect_right(self._breaks, lam) - 1, 0), len(self._breaks) - 2)
-        t = lam - self._breaks[i]
-        c0, c1, c2, _ = self._coeffs[i]
-        return (3.0 * c0 * t + 2.0 * c1) * t + c2
-
-    def _query(self, lam, evaluate):
-        # One envelope check, then the scalar evaluator over every element:
-        # an array for an array, a Python float for a number.
-        lam = np.asarray(lam, dtype=float)
-        self._check_envelope(lam)
-        if not lam.ndim:
-            return evaluate(float(lam))
-        return np.fromiter(map(evaluate, lam.ravel().tolist()), float,
-                           lam.size).reshape(lam.shape)
-
-    def cp(self, lam):
-        """Interpolated power coefficient at tip-speed ratio ``lam``."""
-        return self._query(lam, self._cp_scalar)
-
-    def cp_prime(self, lam):
-        """Derivative dC_p/dlambda of the interpolant."""
-        return self._query(lam, self._cp_prime_scalar)
-
-    def kappa(self, lam):
-        """(3/lambda) C_p(lambda) - C_p'(lambda), the monotonicity term."""
-        return self._query(lam, lambda x: 3.0 / x * self._cp_scalar(x)
-                           - self._cp_prime_scalar(x))
 
     def balance_tip_speed_ratio(self, ratio: float) -> float:
         """The tip-speed ratio in ``[lambda_zero, lambda_max]`` at which

@@ -8,7 +8,7 @@ integrated with a classical fixed-step 4th-order Runge-Kutta scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .cp_model import CpCurve
 from .exceptions import ConfigError, EnvelopeError
@@ -19,7 +19,6 @@ __all__ = [
     "load_params_file",
     "phi",
     "phi_clamped",
-    "phi_prime_u",
     "optimal_torque_gain",
     "steady_state_rotor_speed",
     "rk4_plant_step",
@@ -74,7 +73,8 @@ def load_params_file(path) -> TurbineParams:
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}: malformed line {raw!r}")
+                raise ConfigError(f"{path}: line {number} is not "
+                                  f"'key = value': {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             if key in values:
                 raise ConfigError(f"{path}: line {number} repeats {key!r}")
@@ -83,10 +83,14 @@ def load_params_file(path) -> TurbineParams:
             except ValueError:
                 raise ConfigError(f"{path}: line {number}: {key} is not a "
                                   f"number: {val!r}") from None
-    known = {f.name for f in fields(TurbineParams) if f.init}
-    unknown = set(values) - known
+    inputs = [f for f in fields(TurbineParams) if f.init]
+    unknown = set(values) - {f.name for f in inputs}
     if unknown:
         raise ConfigError(f"{path}: unknown parameter(s) {sorted(unknown)}")
+    missing = [f.name for f in inputs
+               if f.default is MISSING and f.name not in values]
+    if missing:
+        raise ConfigError(f"{path}: missing parameter(s) {missing}")
     return TurbineParams(**values)
 
 
@@ -105,9 +109,11 @@ def phi(params: TurbineParams, curve: CpCurve, omega_r: float, u: float) -> floa
     Raises :class:`EnvelopeError` if the implied tip-speed ratio leaves
     the curve envelope; no extrapolation.
     """
-    _check_inputs(params, omega_r, u)
+    if not (u > 0 and omega_r >= params.omega_r_min):
+        _check_inputs(params, omega_r, u)
     lam = omega_r * params.rotor_radius / u
-    curve._check_envelope(lam)
+    if not curve.lambda_min <= lam <= curve.lambda_max:  # also refuses NaN
+        curve._check_envelope(lam)
     return params.phi_coefficient * u ** 3 / omega_r * curve._cp_scalar(lam)
 
 
@@ -136,18 +142,6 @@ def phi_clamped(params: TurbineParams, curve: CpCurve,
         u, clamped = u_hi, True
     cp = curve._cp_scalar(tip_speed / u)
     return params.phi_coefficient * u ** 3 / omega_r * cp, clamped
-
-
-def phi_prime_u(params: TurbineParams, curve: CpCurve,
-                omega_r: float, u: float) -> float:
-    """Partial derivative of the nonlinearity in the wind speed argument.
-
-    Equals (rho A R U / 2NJ) * kappa(lambda); positive wherever
-    kappa > 0, which is the monotonicity condition.
-    """
-    _check_inputs(params, omega_r, u)
-    lam = omega_r * params.rotor_radius / u
-    return params.phi_coefficient * params.rotor_radius * u * curve.kappa(lam)
 
 
 def optimal_torque_gain(params: TurbineParams, curve: CpCurve) -> float:
@@ -184,31 +178,13 @@ def steady_state_rotor_speed(params: TurbineParams, curve: CpCurve,
 def rk4_plant_step(params: TurbineParams, curve: CpCurve, omega_r: float,
                    t_g: float, u: float, dt: float) -> float:
     """One classical RK4 step of ``d(omega_r)/dt = phi/N - T_g/(N J)``
-    with the generator torque held over the step.
-
-    Each stage runs the checks of :func:`phi` and raises the same
-    :class:`EnvelopeError`; the terms fixed over the step are taken once,
-    in the operation order of ``phi``, so the result is bit for bit the
-    four-stage scheme written with ``phi``.
-    """
-    if u <= 0:
-        _check_inputs(params, omega_r, u)  # raises phi's error
+    with the generator torque held over the step; each stage evaluates
+    :func:`phi` and raises its :class:`EnvelopeError`."""
     n = params.gear_ratio
-    radius = params.rotor_radius
-    w_min = params.omega_r_min
-    lam_lo, lam_hi = curve.lambda_min, curve.lambda_max
-    aero = params.phi_coefficient * u ** 3
     load = t_g / (n * params.inertia_equivalent)
     half = 0.5 * dt
-    k = []
-    w = omega_r
-    for step in (half, half, dt, None):
-        lam = w * radius / u
-        if not (w >= w_min and lam_lo <= lam <= lam_hi):
-            _check_inputs(params, w, u)  # raise phi's error
-            curve._check_envelope(lam)
-        k.append(aero / w * curve._cp_scalar(lam) / n - load)
-        if step is not None:
-            w = omega_r + step * k[-1]
-    k1, k2, k3, k4 = k
+    k1 = phi(params, curve, omega_r, u) / n - load
+    k2 = phi(params, curve, omega_r + half * k1, u) / n - load
+    k3 = phi(params, curve, omega_r + half * k2, u) / n - load
+    k4 = phi(params, curve, omega_r + dt * k3, u) / n - load
     return omega_r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

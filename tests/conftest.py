@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from collections import deque
 
 import numpy as np
@@ -48,3 +49,34 @@ def iandi_reference(trace):
         phi_val, _ = phi_clamped(params, curve, omega_r, line.popleft())
         u_internal -= dt * gamma * (phi_val / n - t_g / (n * inertia))
     return np.array(out)
+
+
+def over(query, curve, lam):
+    """``query(curve, x)`` at every element ``x`` of the array ``lam``, in
+    order, so an envelope error names the first ratio outside."""
+    return np.array([query(curve, x) for x in np.asarray(lam, dtype=float).tolist()])
+
+
+def cp_prime(curve, lam):
+    """dC_p/dlambda at ``lam``: the derivative of the PCHIP piece that
+    ``CpCurve._cp_scalar`` evaluates there.  Refuses ``lam`` outside the
+    envelope."""
+    curve._check_envelope(lam)
+    breaks = curve._breaks
+    i = min(max(bisect_right(breaks, lam) - 1, 0), len(breaks) - 2)
+    t = lam - breaks[i]
+    c0, c1, c2, _ = curve._coeffs[i]
+    return (3.0 * c0 * t + 2.0 * c1) * t + c2
+
+
+def kappa(curve, lam):
+    """(3/lambda) C_p(lambda) - C_p'(lambda), the monotonicity term."""
+    return 3.0 / lam * curve._cp_scalar(lam) - cp_prime(curve, lam)
+
+
+def phi_prime_u(params, curve, omega_r, u):
+    """Partial derivative of ``turbine.phi`` in the wind speed,
+    (rho A R U / 2NJ) kappa(lambda): positive wherever kappa > 0, which is
+    the monotonicity condition."""
+    lam = omega_r * params.rotor_radius / u
+    return params.phi_coefficient * params.rotor_radius * u * kappa(curve, lam)

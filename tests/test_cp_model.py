@@ -9,7 +9,7 @@ from rews.cp_model import (CpCurve, _pchip_coefficients, default_cp_curve,
                            load_cp_curve, read_curve_csv)
 from rews.exceptions import CurveError, EnvelopeError
 
-from conftest import sine_cp
+from conftest import cp_prime, kappa, over, sine_cp
 
 
 def test_too_few_points_rejected():
@@ -92,13 +92,14 @@ def test_peak_is_the_table_maximum_for_random_single_peaked_tables():
         curve = load_cp_curve(zip(lam, cp))
         assert curve.lambda_star == lam[np.argmax(cp)]
         assert curve.cp_star == cp.max()
-        assert curve.cp_prime(curve.lambda_star) == 0.0
+        assert cp_prime(curve, curve.lambda_star) == 0.0
         dense = np.concatenate([
             np.linspace(curve.lambda_min, curve.lambda_max, 20001),
             0.5 * (lam[:-1] + lam[1:])])
         # The cubic's Horner evaluation may round a few ulps past the
         # peak value near the peak knot; nothing larger.
-        assert np.max(curve.cp(dense)) <= curve.cp_star * (1.0 + 4e-16)
+        assert (np.max(over(CpCurve._cp_scalar, curve, dense))
+                <= curve.cp_star * (1.0 + 4e-16))
 
 
 def test_sine_curve_maximizer(sine_curve):
@@ -107,88 +108,72 @@ def test_sine_curve_maximizer(sine_curve):
 
 
 def test_cp_exact_at_nodes(sine_curve):
-    for lam, cp in zip(sine_curve.lambda_grid, sine_curve.cp_values):
-        assert sine_curve.cp(lam) == cp
-
-
-@pytest.mark.parametrize("which", ["curve", "sine_curve"])
-def test_array_queries_equal_scalar_queries_bitwise(which, request):
-    # One C_p evaluator: the array path runs the scalar path's segment
-    # choice and Horner order, so every query agrees bit for bit.
-    curve = request.getfixturevalue(which)
-    rng = np.random.default_rng(3)
-    lam = np.concatenate([rng.uniform(curve.lambda_min, curve.lambda_max, 20000),
-                          curve.lambda_grid])
-    for query in (curve.cp, curve.cp_prime, curve.kappa):
-        values = query(lam)
-        scalars = [query(float(x)) for x in lam]
-        assert all(type(v) is float for v in scalars)
-        assert np.array_equal(values, scalars)
-        grid = lam[:20000].reshape(-1, 4)
-        assert np.array_equal(query(grid), values[:20000].reshape(-1, 4))
-    # The simulator's scalar path gives the query evaluator's bits.
-    assert np.array_equal(curve.cp(lam), [curve._cp_scalar(float(x)) for x in lam])
+    for lam, cp in zip(sine_curve.lambda_grid.tolist(),
+                       sine_curve.cp_values.tolist()):
+        assert sine_curve._cp_scalar(lam) == cp
 
 
 def test_cp_at_maximizer_is_peak(curve):
     lam_star = curve.lambda_star
     dense = np.linspace(curve.lambda_min, curve.lambda_max, 2000)
-    assert curve.cp(lam_star) >= np.max(curve.cp(dense)) - 1e-12
+    assert (curve._cp_scalar(lam_star)
+            >= np.max(over(CpCurve._cp_scalar, curve, dense)) - 1e-12)
 
 
 def test_cp_midpoint_matches_generator(sine_curve):
     grid = sine_curve.lambda_grid
     mids = 0.5 * (grid[:-1] + grid[1:])
-    for lam in mids:
-        assert sine_curve.cp(lam) == pytest.approx(sine_cp(lam), abs=1e-3)
+    for lam in mids.tolist():
+        assert sine_curve._cp_scalar(lam) == pytest.approx(sine_cp(lam), abs=1e-3)
 
 
 def test_cp_rejects_out_of_envelope(curve):
+    # The envelope check that turbine.phi runs before it evaluates C_p.
     with pytest.raises(EnvelopeError):
-        curve.cp(curve.lambda_min - 0.01)
+        curve._check_envelope(curve.lambda_min - 0.01)
     with pytest.raises(EnvelopeError):
-        curve.cp(curve.lambda_max + 0.01)
+        curve._check_envelope(curve.lambda_max + 0.01)
     with pytest.raises(EnvelopeError):
-        curve.cp_prime(1.0)
+        cp_prime(curve, 1.0)
     with pytest.raises(EnvelopeError):
-        curve.kappa(curve.lambda_max + 1.0)
+        kappa(curve, curve.lambda_max + 1.0)
     with pytest.raises(EnvelopeError, match=r"tip-speed ratio 11.0 outside \[2.0, 10.0\]"):
-        curve.cp(np.array([3.0, 11.0, 12.0]))
+        over(kappa, curve, np.array([3.0, 11.0, 12.0]))
     with pytest.raises(EnvelopeError, match="tip-speed ratio nan outside"):
-        curve.cp_prime([3.0, np.nan])
+        over(cp_prime, curve, [3.0, np.nan])
 
 
 def test_cp_prime_zero_at_maximizer(curve):
-    assert curve.cp_prime(curve.lambda_star) == 0.0
+    assert cp_prime(curve, curve.lambda_star) == 0.0
 
 
 def test_cp_prime_sign_pattern(curve):
-    assert curve.cp_prime(curve.lambda_star - 1.0) > 0
-    assert curve.cp_prime(curve.lambda_star + 1.0) < 0
+    assert cp_prime(curve, curve.lambda_star - 1.0) > 0
+    assert cp_prime(curve, curve.lambda_star + 1.0) < 0
 
 
 def test_cp_prime_matches_central_differences(curve):
     rng = np.random.default_rng(7)
     lams = rng.uniform(curve.lambda_min + 0.1, curve.lambda_max - 0.1, 20)
     h = 1e-5
-    for lam in lams:
-        fd = (curve.cp(lam + h) - curve.cp(lam - h)) / (2 * h)
-        assert curve.cp_prime(lam) == pytest.approx(fd, rel=1e-4)
+    for lam in lams.tolist():
+        fd = (curve._cp_scalar(lam + h) - curve._cp_scalar(lam - h)) / (2 * h)
+        assert cp_prime(curve, lam) == pytest.approx(fd, rel=1e-4)
 
 
 def test_kappa_positive_at_and_above_maximizer(curve):
     lam_star = curve.lambda_star
-    assert curve.kappa(lam_star) == pytest.approx(
-        3.0 / lam_star * curve.cp(lam_star), rel=1e-12)
-    for lam in np.linspace(lam_star, curve.lambda_max, 50):
-        assert curve.kappa(lam) > 0
+    assert kappa(curve, lam_star) == pytest.approx(
+        3.0 / lam_star * curve._cp_scalar(lam_star), rel=1e-12)
+    for lam in np.linspace(lam_star, curve.lambda_max, 50).tolist():
+        assert kappa(curve, lam) > 0
 
 
 def test_kappa_crosses_zero_once_below_maximizer(curve):
     # Same qualitative shape as the reference machine: a single
     # negative-to-positive crossing below the maximizer.
     dense = np.linspace(curve.lambda_min, curve.lambda_star, 1000)
-    kv = curve.kappa(dense)
+    kv = over(kappa, curve, dense)
     signs = np.sign(kv[np.abs(kv) > 1e-12])
     assert signs[0] < 0 and signs[-1] > 0
     assert np.count_nonzero(np.diff(signs) != 0) == 1
@@ -199,7 +184,7 @@ def test_lambda_zero_positive_kappa_returns_lambda_min(sine_curve):
     # on [2.1, 5.9]... it stays positive up to the maximizer region only
     # if 3/lam dominates; verify numerically which branch applies.
     dense = np.linspace(sine_curve.lambda_min, sine_curve.lambda_star, 500)
-    if np.all(sine_curve.kappa(dense) > 0):
+    if np.all(over(kappa, sine_curve, dense) > 0):
         assert sine_curve.lambda_zero == sine_curve.lambda_min
     else:
         assert sine_curve.lambda_min < sine_curve.lambda_zero < sine_curve.lambda_star
@@ -216,17 +201,17 @@ def test_lambda_zero_known_root():
     curve = load_cp_curve(zip(*_bell_table()))
     assert curve.lambda_zero == pytest.approx(4.0, abs=5e-3)
     # The returned value is a genuine root of the interpolant's kappa.
-    assert abs(curve.kappa(curve.lambda_zero)) <= 1e-8
+    assert abs(kappa(curve, curve.lambda_zero)) <= 1e-8
 
 
 def test_lambda_zero_bisection_oracle():
     # Independent plain bisection on kappa must agree with the solver.
     curve = load_cp_curve(zip(*_bell_table()))
     lo, hi = 3.8, 4.2
-    assert curve.kappa(lo) < 0 < curve.kappa(hi)
+    assert kappa(curve, lo) < 0 < kappa(curve, hi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if curve.kappa(mid) < 0:
+        if kappa(curve, mid) < 0:
             lo = mid
         else:
             hi = mid
@@ -241,11 +226,11 @@ def test_lambda_zero_below_lambda_star(curve, sine_curve):
 def test_kappa_positive_above_lambda_zero(curve):
     dense = np.linspace(curve.lambda_zero * (1 + 1e-9) + 1e-9,
                         curve.lambda_max, 1000)
-    assert np.all(curve.kappa(dense[1:]) > 0)
+    assert np.all(over(kappa, curve, dense[1:]) > 0)
 
 
 def test_lambda_zero_root_residual(curve):
-    assert (abs(curve.kappa(curve.lambda_zero)) <= 1e-8
+    assert (abs(kappa(curve, curve.lambda_zero)) <= 1e-8
             or curve.lambda_zero == curve.lambda_min)
 
 
@@ -376,14 +361,14 @@ def test_lambda_zero_equals_scipy_root(which, request):
     assert curves
     for curve in curves:
         dense = np.linspace(curve.lambda_min, curve.lambda_star, 20001)
-        kv = curve.kappa(dense)
+        kv = over(kappa, curve, dense)
         assert np.all(kv[dense > curve.lambda_zero] > 0)
         below = np.flatnonzero(kv <= 0)
         if below.size == 0:
             assert curve.lambda_zero == curve.lambda_min
             continue
         i = below[-1]
-        root = brentq(curve.kappa, dense[i], dense[i + 1], xtol=1e-15)
+        root = brentq(lambda x: kappa(curve, x), dense[i], dense[i + 1], xtol=1e-15)
         assert abs(curve.lambda_zero - root) <= 1e-12, (curve.lambda_zero, root)
 
 

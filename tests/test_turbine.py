@@ -10,8 +10,10 @@ from rews.harness import (make_step_wind_scenario, run_scenario,
                           scenario_from_json)
 from rews.turbine import (TurbineParams, default_turbine_params,
                           load_params_file, optimal_torque_gain, phi,
-                          phi_clamped, phi_prime_u, rk4_plant_step,
+                          phi_clamped, rk4_plant_step,
                           steady_state_rotor_speed)
+
+from conftest import phi_prime_u
 
 
 def _reference_rk4(params, curve, omega_r, t_g, u, dt):
@@ -101,6 +103,35 @@ class TestParams:
             f"inertia_rotor={params.inertia_rotor}\n")
         assert load_params_file(path) == params
 
+    def test_params_file_line_without_equals_names_its_line(self, tmp_path):
+        path = tmp_path / "turbine.txt"
+        path.write_text("# constants\nrho = 1.225\nrotor_radius 63  # no '='\n")
+        with pytest.raises(ConfigError) as info:
+            load_params_file(path)
+        assert str(info.value) == (f"{path}: line 3 is not 'key = value': "
+                                   "'rotor_radius 63'")
+
+    @pytest.mark.parametrize("text, missing", [
+        ("", ["rho", "rotor_radius", "gear_ratio", "inertia_generator",
+              "inertia_rotor"]),
+        ("rho = 1.225\n", ["rotor_radius", "gear_ratio", "inertia_generator",
+                            "inertia_rotor"]),
+    ], ids=["empty", "partial"])
+    def test_params_file_missing_keys_names_file_and_keys(self, tmp_path,
+                                                          text, missing):
+        # omega_r_min has a default, so it may be left out.
+        path = tmp_path / "turbine.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_params_file(path)
+        assert str(info.value) == f"{path}: missing parameter(s) {missing}"
+        # Through a scenario the message is the same, not a TypeError's.
+        spec = {"wind_profile": [[0.0, 7.0]], "duration": 1.0, "turbine": str(path),
+                "estimator": {"family": "pi", "gamma": 40.0}}
+        with pytest.raises(ConfigError) as info:
+            scenario_from_json(spec)
+        assert str(info.value) == f"{path}: missing parameter(s) {missing}"
+
     def test_params_file_unknown_key(self, tmp_path):
         path = tmp_path / "turbine.txt"
         path.write_text("rho=1.2\nbogus=1\n")
@@ -122,7 +153,7 @@ class TestPhi:
     def test_phi_equals_aero_torque_over_nj(self, params, curve):
         omega_r, u = 1.0, 10.0
         lam = omega_r * params.rotor_radius / u
-        p_w = 0.5 * params.rho * params.swept_area * u ** 3 * curve.cp(lam)
+        p_w = 0.5 * params.rho * params.swept_area * u ** 3 * curve._cp_scalar(lam)
         t_r = p_w / omega_r
         expected = t_r / (params.gear_ratio * params.inertia_equivalent)
         assert phi(params, curve, omega_r, u) == pytest.approx(expected, rel=1e-12)
@@ -131,17 +162,23 @@ class TestPhi:
         # Direct scalar evaluation at omega_r = 1, u = 8 (lambda = 7.875).
         expected = (params.rho * params.swept_area
                     / (2 * params.gear_ratio * params.inertia_equivalent)
-                    * 8.0 ** 3 * curve.cp(7.875))
+                    * 8.0 ** 3 * curve._cp_scalar(7.875))
         assert phi(params, curve, 1.0, 8.0) == pytest.approx(expected, rel=1e-12)
         assert phi(params, curve, 1.0, 8.0) > 0
 
     def test_phi_envelope_errors(self, params, curve):
-        with pytest.raises(EnvelopeError):
-            phi(params, curve, 1.0, 1.0)   # lambda = 63, way out
-        with pytest.raises(EnvelopeError):
-            phi(params, curve, 1.0, -3.0)
-        with pytest.raises(EnvelopeError):
-            phi(params, curve, 0.01, 8.0)  # below the rotor-speed bound
+        # The wind, then the rotor speed, then the tip-speed ratio: NaN
+        # passes the first two checks and is refused by the third.
+        for omega_r, u, message in [
+                (1.0, 0.0, "wind speed must be positive, got 0.0"),
+                (1.0, -3.0, "wind speed must be positive, got -3.0"),
+                (0.05, 8.0, "rotor speed 0.05 below the lower bound 0.1"),
+                (0.01, 8.0, "rotor speed 0.01 below the lower bound 0.1"),
+                (1.0, math.nan, "tip-speed ratio nan outside [2.0, 10.0]"),
+                (math.nan, 8.0, "tip-speed ratio nan outside [2.0, 10.0]"),
+                (1.0, 1.0, "tip-speed ratio 63.0 outside [2.0, 10.0]"),  # way out
+                (1.0, math.inf, "tip-speed ratio 0.0 outside [2.0, 10.0]")]:
+            assert _envelope_message(phi, params, curve, omega_r, u) == message
 
     def test_phi_clamped_matches_inside(self, params, curve):
         val, clamped = phi_clamped(params, curve, 1.0, 8.0)
