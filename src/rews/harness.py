@@ -570,7 +570,8 @@ def emit_traces(runs) -> list:
     """Write ``trace.csv``, ``timeseries.svg`` and ``rotor_speed.svg`` for
     each ``(trace, out_dir)`` of ``runs``; return each run's paths.
     ``trace.csv`` holds the full-precision trace: :func:`read_trace_csv`
-    reproduces its arrays bit-exactly.
+    reproduces its arrays bit-exactly.  The charts draw a long trace at
+    plot resolution (see :mod:`rews.svgplot`).
 
     All the CSV files go out in one :func:`_write_csvs` call, so a
     column block that several traces share is formatted once."""

@@ -94,13 +94,13 @@ def load_params_file(path) -> TurbineParams:
     return TurbineParams(**values)
 
 
-def _check_inputs(params: TurbineParams, omega_r: float, u: float) -> None:
-    if u <= 0:
-        raise EnvelopeError(f"wind speed must be positive, got {float(u)}")
-    if omega_r < params.omega_r_min:
-        raise EnvelopeError(
-            f"rotor speed {float(omega_r)} below the lower bound {params.omega_r_min}"
-        )
+def _wind_error(u: float) -> EnvelopeError:
+    return EnvelopeError(f"wind speed must be positive, got {float(u)}")
+
+
+def _rotor_speed_error(params: TurbineParams, omega_r: float) -> EnvelopeError:
+    return EnvelopeError(
+        f"rotor speed {float(omega_r)} below the lower bound {params.omega_r_min}")
 
 
 def phi(params: TurbineParams, curve: CpCurve, omega_r: float, u: float) -> float:
@@ -110,7 +110,10 @@ def phi(params: TurbineParams, curve: CpCurve, omega_r: float, u: float) -> floa
     the curve envelope; no extrapolation.
     """
     if not (u > 0 and omega_r >= params.omega_r_min):
-        _check_inputs(params, omega_r, u)
+        if u <= 0:
+            raise _wind_error(u)
+        if omega_r < params.omega_r_min:
+            raise _rotor_speed_error(params, omega_r)
     lam = omega_r * params.rotor_radius / u
     if not curve.lambda_min <= lam <= curve.lambda_max:  # also refuses NaN
         curve._check_envelope(lam)
@@ -129,9 +132,7 @@ def phi_clamped(params: TurbineParams, curve: CpCurve,
     ``curve.lambda_zero``, where kappa > 0).  Returns ``(value, clamped_flag)``.
     """
     if omega_r < params.omega_r_min:
-        raise EnvelopeError(
-            f"rotor speed {float(omega_r)} below the lower bound {params.omega_r_min}"
-        )
+        raise _rotor_speed_error(params, omega_r)
     tip_speed = omega_r * params.rotor_radius
     u_lo = tip_speed / curve.lambda_max
     u_hi = tip_speed / curve.lambda_min
@@ -165,7 +166,7 @@ def steady_state_rotor_speed(params: TurbineParams, curve: CpCurve,
     ``lambda u / R``.
     """
     if u <= 0:
-        raise EnvelopeError(f"wind speed must be positive, got {float(u)}")
+        raise _wind_error(u)
     ratio = (2.0 * k_opt * params.gear_ratio ** 3
              / (params.rho * params.swept_area * params.rotor_radius ** 3))
     omega = curve.balance_tip_speed_ratio(ratio) * u / params.rotor_radius

@@ -80,3 +80,25 @@ def phi_prime_u(params, curve, omega_r, u):
     the monotonicity condition."""
     lam = omega_r * params.rotor_radius / u
     return params.phi_coefficient * params.rotor_radius * u * kappa(curve, lam)
+
+
+def assert_m4(kept, full, columns):
+    """``kept`` (an emitted polyline's points) is the M4 reduction of the
+    every-point polyline ``full``, whose points lie in the pixel
+    ``columns`` (``floor(px)`` before formatting): an in-order subsequence
+    that keeps the first and last point and, in every column, at most 4
+    points with the column's least and greatest y pixel."""
+    kept, full = kept.split(), full.split()
+    index = {point: i for i, point in enumerate(full)}
+    assert len(index) == len(full), "formatted points must be distinct"
+    idx = np.array([index[point] for point in kept])
+    assert np.all(np.diff(idx) > 0)
+    assert idx[0] == 0 and idx[-1] == len(full) - 1
+    py = np.array([float(point.split(",")[1]) for point in full])
+    columns = np.asarray(columns)
+    for column in np.unique(columns):
+        whole = np.flatnonzero(columns == column)
+        drawn = idx[columns[idx] == column]
+        assert 1 <= drawn.size <= 4, column
+        assert py[drawn].min() == py[whole].min(), column
+        assert py[drawn].max() == py[whole].max(), column

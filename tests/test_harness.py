@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import rews
-from rews import harness, stability
+from rews import harness, stability, svgplot
 from rews.estimators import Family, init_estimator, step_estimator
 from rews.exceptions import ConfigError, CurveError, EnvelopeError
 from rews.harness import (_CSV_CHUNK, _TRACE_COLUMNS, CASE_STUDIES, Scenario,
@@ -25,6 +26,8 @@ from rews.stability import certify
 from rews.turbine import rk4_plant_step
 from rews.cli import main as cli_main
 from rews.cp_model import load_cp_curve
+
+from conftest import assert_m4
 
 
 def _scenario(**overrides):
@@ -585,6 +588,48 @@ class TestEmitOutputs:
         calls.clear()
         run_case_studies()
         assert with_files == calls
+
+    def test_case_study_charts_are_drawn_at_plot_resolution(self, tmp_path,
+                                                            monkeypatch):
+        # Against a second run that draws every point, only the line
+        # charts' points differ, and they are the M4 reduction.
+        times = {}
+
+        def recording(runs, emit=emit_traces):
+            times.update((pathlib.Path(out).name, trace.t) for trace, out in runs)
+            return emit(runs)
+
+        monkeypatch.setattr(harness, "emit_traces", recording)
+        run_case_studies(out_dir=tmp_path / "m4")
+        monkeypatch.setattr(svgplot._Canvas, "m4", lambda self, xs, ys: (xs, ys))
+        run_case_studies(out_dir=tmp_path / "full")
+        files = sorted(p.relative_to(tmp_path / "full")
+                       for p in (tmp_path / "full").rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(tmp_path / "m4")
+                               for p in (tmp_path / "m4").rglob("*") if p.is_file())
+        assert len(files) == 8 * 6 + 1
+        points = re.compile(r'points="([^"]*)"')
+        for rel in files:
+            m4, full = ((tmp_path / side / rel).read_text(encoding="utf-8")
+                        for side in ("m4", "full"))
+            if rel.name not in ("timeseries.svg", "rotor_speed.svg"):
+                assert m4 == full, rel
+                continue
+            assert points.sub("", m4) == points.sub("", full), rel
+            t = times[rel.parent.name]
+            columns = np.floor(svgplot._Canvas((t.min(), t.max()), (0.0, 1.0),
+                                               "", "", "").px(t))
+            kept, whole = points.findall(m4), points.findall(full)
+            assert len(kept) == len(whole) == 2, rel
+            for k, w in zip(kept, whole):
+                assert len(w.split()) == t.size > 4 * 600, rel
+                assert len(k.split()) <= 4 * 601, rel
+                assert_m4(k, w, columns)
+        # The locus is drawn point for point.
+        for path in (tmp_path / "m4").glob("*/nyquist.svg"):
+            rows = (path.parent / "nyquist.csv").read_text().count("\n") - 1
+            (locus,) = points.findall(path.read_text())
+            assert len(locus.split()) == rows, path
 
     def test_report_artifact(self, tmp_path):
         report = {"cases": [{"name": "case1", "min_distance": 26.437023491820906,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from rews import svgplot
+
+from conftest import assert_m4
 
 _NS = "{http://www.w3.org/2000/svg}"
 
@@ -82,8 +85,51 @@ class TestLineChart:
         assert _polylines(path) == [_scalar_points(canvas, x, y),
                                     _scalar_points(canvas, x, y2)]
 
+    def test_long_series_keeps_each_pixel_columns_m4_points(self, tmp_path):
+        # A 450 s trace's length: 75 samples per pixel column.
+        path = tmp_path / "a.svg"
+        x, y = _gappy_series(n=45_001)
+        svgplot.line_chart(path, x, [("y", y)])
+        finite = np.isfinite(y)
+        canvas = svgplot._Canvas((x.min(), x.max()), (y[finite].min(), y[finite].max()),
+                                 "", "", "")
+        (points,) = _polylines(path)
+        assert len(points.split()) <= 4 * 601
+        assert_m4(points, _scalar_points(canvas, x, y),
+                  np.floor(canvas.px(x[finite])))
+
+    def test_short_or_unsorted_series_are_drawn_point_for_point(self, tmp_path):
+        # 2,400 finite points is 4 per plot column: not reduced.
+        x, y = _gappy_series(n=2_600)
+        y[np.flatnonzero(np.isfinite(y))[2_400:]] = np.nan
+        assert np.count_nonzero(np.isfinite(y)) == 2_400
+        # Two swapped finite samples make x non-monotonic.
+        x2, y2 = _gappy_series(n=3_000)
+        swap = np.flatnonzero(np.isfinite(y2))[10:12]
+        x2[swap] = x2[swap[::-1]]
+        for i, (xs, ys) in enumerate([(x, y), (x2, y2)]):
+            path = tmp_path / f"{i}.svg"
+            svgplot.line_chart(path, xs, [("y", ys)])
+            finite = ys[np.isfinite(ys)]
+            canvas = svgplot._Canvas((xs.min(), xs.max()),
+                                     (finite.min(), finite.max()), "", "", "")
+            assert _polylines(path) == [_scalar_points(canvas, xs, ys)]
+
 
 class TestNyquistChart:
+    def test_monotone_locus_is_drawn_point_for_point(self, tmp_path):
+        # A locus whose real part only grows, as at zero delay, is not a
+        # line chart: every finite point is drawn, byte for byte as before.
+        path = tmp_path / "n.svg"
+        re = np.linspace(-30.0, 0.0, 4000)
+        im = re * re / 100.0 - 5.0
+        im[[7, 2000]] = np.nan
+        svgplot.nyquist_chart(path, re, im, -20.0, 4.0)
+        (points,) = _polylines(path)
+        assert len(points.split()) == 3998
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "fcf53f75a5447f561b629363dced524824a3729ec00b5a790be1309a90396a68")
+
     def test_view_clips_to_six_radii_around_the_disk(self, tmp_path):
         path = tmp_path / "n.svg"
         center, radius = -20.0, 4.0

@@ -202,6 +202,19 @@ class TestPhi:
                            match=r"^rotor speed 0\.05 below the lower bound 0\.1$"):
             phi_clamped(params, curve, 0.05, 8.0)
 
+    def test_each_input_refusal_reads_the_same_at_every_call_site(self, curve):
+        # numpy scalars print as plain floats, and the bound is the params'.
+        params = dataclasses.replace(default_turbine_params(), omega_r_min=0.25)
+        k_opt = optimal_torque_gain(params, curve)
+        slow, calm = np.float64(0.2), np.float64(-2.5)
+        rotor = "rotor speed 0.2 below the lower bound 0.25"
+        wind = "wind speed must be positive, got -2.5"
+        assert _envelope_message(phi, params, curve, slow, 8.0) == rotor
+        assert _envelope_message(phi_clamped, params, curve, slow, 8.0) == rotor
+        assert _envelope_message(phi, params, curve, 1.0, calm) == wind
+        assert _envelope_message(steady_state_rotor_speed,
+                                 params, curve, k_opt, calm) == wind
+
 
 class TestPhiPrime:
     def test_positive_above_kappa_root(self, params, curve):
