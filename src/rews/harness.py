@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class Scenario:
     curve: CpCurve
     controller_gain: float       # K of the quadratic torque law, N m s^2
     estimator: EstimatorConfig
-    initial_omega_r: float       # rad/s
+    initial_omega_r: float       # rad/s; None: the steady start
     initial_u_guess: float       # m/s
 
     def __post_init__(self):
@@ -111,11 +111,21 @@ class Scenario:
             raise ConfigError("wind segments must be strictly time-ordered")
         if starts[-1] >= self.n_steps():
             raise ConfigError("last wind segment starts after the run ends")
-        _grid_steps(self.estimator.delay_T, self.dt, "delay")
-        _check_controller_gain(self.controller_gain)
-        if not self.turbine.omega_r_min <= self.initial_omega_r < math.inf:
-            raise ConfigError("initial rotor speed must be finite and not "
-                              "below the lower bound")
+        delay = self.estimator.delay_T
+        _grid_steps(delay, self.dt, "delay")
+        if not delay < self.duration:
+            raise ConfigError(f"delay {delay} is not shorter than the "
+                              f"duration {self.duration}")
+        if not 0 < self.controller_gain < math.inf:
+            raise ConfigError("controller gain must be positive and finite")
+        omega0, bound = self.initial_omega_r, self.turbine.omega_r_min
+        if omega0 is None:  # the torque balance at the first wind level
+            omega0 = steady_state_rotor_speed(
+                self.turbine, self.curve, self.controller_gain, profile[0][1])
+            object.__setattr__(self, "initial_omega_r", omega0)
+        if not bound <= omega0 < math.inf:
+            raise ConfigError(f"initial rotor speed {float(omega0)} must be "
+                              f"finite and not below the lower bound {bound}")
         if not 0 < self.initial_u_guess < math.inf:
             raise ConfigError("initial wind speed guess must be positive and "
                               f"finite, got {float(self.initial_u_guess)}")
@@ -126,13 +136,6 @@ class Scenario:
     def wind_steps(self) -> list:
         """Grid step at which each wind segment starts."""
         return [_grid_steps(t, self.dt, "wind start") for t, _ in self.wind_profile]
-
-
-def _check_controller_gain(k: float) -> float:
-    """``k``; ConfigError unless it is positive and finite."""
-    if not 0 < k < math.inf:
-        raise ConfigError("controller gain must be positive and finite")
-    return k
 
 
 def _grid_steps(value: float, dt: float, what: str) -> int:
@@ -184,10 +187,9 @@ def run_scenario(scn: Scenario) -> SimTrace:
     return run_shared_plant([scn])[0]
 
 
-def _plant_key(scn: Scenario) -> tuple:
-    """Everything that determines the plant trajectory."""
-    return (scn.wind_profile, scn.duration, scn.dt, scn.turbine, scn.curve,
-            scn.controller_gain, scn.initial_omega_r)
+# Everything that determines the plant trajectory: all but the estimator.
+_PLANT_FIELDS = tuple(f.name for f in fields(Scenario)
+                      if f.name not in ("estimator", "initial_u_guess"))
 
 
 class _EstimatorRun:
@@ -208,9 +210,9 @@ class _EstimatorRun:
 def run_shared_plant(scenarios) -> list:
     """Drive every scenario's estimator from one plant integration.
 
-    All scenarios must share the plant: wind profile, duration, dt,
-    turbine, curve, controller gain and initial rotor speed.  A mismatch
-    raises :class:`ConfigError`.  Equal scenarios are run once.  At each
+    All scenarios must share the plant: every field but the estimator
+    and its initial guess.  A mismatch raises :class:`ConfigError`
+    naming the fields that differ.  Equal scenarios are run once.  At each
     grid step every live estimator is updated from the measured rotor
     speed, then the plant takes one RK4 step.  An estimator stops when
     its estimate exceeds the divergence guard or goes non-finite; the
@@ -226,11 +228,11 @@ def run_shared_plant(scenarios) -> list:
     if not scenarios:
         return []
     first = scenarios[0]
-    key = _plant_key(first)
-    if any(_plant_key(scn) != key for scn in scenarios[1:]):
-        raise ConfigError("scenarios in one plant pass must share wind, "
-                          "duration, dt, turbine, curve, controller gain "
-                          "and initial rotor speed")
+    differ = [name for name in _PLANT_FIELDS if any(
+        getattr(scn, name) != getattr(first, name) for scn in scenarios[1:])]
+    if differ:
+        raise ConfigError("scenarios in one plant pass must share the plant; "
+                          f"these differ: {', '.join(differ)}")
     params, curve = first.turbine, first.curve
     n = first.n_steps()
     dt = first.dt
@@ -513,7 +515,7 @@ def scenario_from_json(spec: dict) -> Scenario:
     fields raise ``ConfigError("malformed scenario: ...")``; validation
     errors (ConfigError, EnvelopeError, CurveError) keep their type."""
     try:
-        profile = [(float(t), float(u)) for t, u in spec["wind_profile"]]
+        profile = spec["wind_profile"]  # Scenario converts it to floats
         duration = float(spec["duration"])
         dt = float(spec.get("dt", _DEFAULT_DT))
         est = spec["estimator"]
@@ -532,7 +534,7 @@ def scenario_from_json(spec: dict) -> Scenario:
 
         gain = spec.get("controller_gain", "optimal")
         k_opt = (optimal_torque_gain(params, curve) if gain == "optimal"
-                 else _check_controller_gain(float(gain)))  # before the steady solve
+                 else float(gain))
 
         config = EstimatorConfig(
             family=Family(est.get("family", "pi")),
@@ -543,13 +545,12 @@ def scenario_from_json(spec: dict) -> Scenario:
 
         initial = spec.get("initial", {})
         omega0 = initial.get("omega_r", "steady")
-        if omega0 == "steady":
-            omega0 = steady_state_rotor_speed(params, curve, k_opt, profile[0][1])
+        omega0 = None if omega0 == "steady" else float(omega0)
         u_guess = float(initial.get("u_guess", _DEFAULT_U_GUESS))
 
-        return Scenario(wind_profile=tuple(profile), duration=duration, dt=dt,
+        return Scenario(wind_profile=profile, duration=duration, dt=dt,
                         turbine=params, curve=curve, controller_gain=k_opt,
-                        estimator=config, initial_omega_r=float(omega0),
+                        estimator=config, initial_omega_r=omega0,
                         initial_u_guess=u_guess)
     except (ConfigError, EnvelopeError, CurveError):
         raise

@@ -6,7 +6,8 @@ vector file suitable for hermetic CI artifacts.
 
 Line-chart series of over 2,400 points (4 per plot column) with sorted x
 keep each pixel column's first, last, lowest and highest point (M4, Jugel
-et al., VLDB 2014) and so its y-extent; the Nyquist locus keeps every point.
+et al., VLDB 2014) and so its y-extent; the Nyquist locus keeps every point
+and is clipped to the plot box.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class _Canvas:
                 f'<text x="{left - 8}" y="{y + 3:.1f}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="10">{t:g}</text>')
 
-    def polyline(self, xs, ys, color):
+    def polyline(self, xs, ys, color, extra=""):
         # px/py map whole float arrays; '%.2f' % v equals f'{v:.2f}'.
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)
@@ -111,7 +112,7 @@ class _Canvas:
         pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" '
-            f'stroke="{color}" stroke-width="1.2"/>')
+            f'stroke="{color}" stroke-width="1.2"{extra}/>')
 
     def m4(self, xs, ys):
         """The finite points of ``y(x)``, M4-reduced per equal ``floor(px)`` run."""
@@ -184,6 +185,10 @@ def nyquist_chart(path, re, im, center, radius):
     canvas = _Canvas((xs.min(), xs.max()), (ys.min(), ys.max()),
                      "Nyquist locus", "Re", "Im", square=True)
     canvas.circle(center, 0.0, radius, "#d62728")
-    canvas.polyline(re, im, "#1f77b4")
+    # The locus can run far outside the view: clip it to the plot box.
+    canvas.parts.append(
+        f'<clipPath id="plot"><rect x="{_MARGIN}" y="{_MARGIN}" '
+        f'width="{_WIDTH - 2 * _MARGIN}" height="{_HEIGHT - 2 * _MARGIN}"/></clipPath>')
+    canvas.polyline(re, im, "#1f77b4", ' clip-path="url(#plot)"')
     canvas.legend([("G(jω)", "#1f77b4"), ("forbidden disk", "#d62728")])
     canvas.write(path)

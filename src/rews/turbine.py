@@ -159,21 +159,19 @@ def steady_state_rotor_speed(params: TurbineParams, curve: CpCurve,
     Solves phi(omega, u)/N = K (N omega)^2 / (N J), which is
     ``C_p(lambda) / lambda^3 = 2 K N^3 / (rho A R^3)``: the balance
     tip-speed ratio does not depend on the wind, and at the optimal gain
-    it is ``lambda_star``.  The root is taken above the kappa root, where
+    it is ``lambda_star`` to rounding (7.500000000000001 for the default
+    curve's 7.5).  The root is taken above the kappa root, where
     the aerodynamic-over-quadratic torque ratio decreases monotonically
     and the balance is unique (this is the attracting equilibrium; a
     second, repelling balance can exist at low tip-speed ratio).  Returns
-    ``lambda u / R``.
+    ``lambda u / R``, which may lie below ``params.omega_r_min``: the
+    caller checks the bound.
     """
-    if u <= 0:
+    if not u > 0:  # also refuses NaN
         raise _wind_error(u)
     ratio = (2.0 * k_opt * params.gear_ratio ** 3
              / (params.rho * params.swept_area * params.rotor_radius ** 3))
-    omega = curve.balance_tip_speed_ratio(ratio) * u / params.rotor_radius
-    if not omega >= params.omega_r_min:
-        raise EnvelopeError(
-            "no stable torque balance inside the tip-speed-ratio envelope")
-    return omega
+    return curve.balance_tip_speed_ratio(ratio) * u / params.rotor_radius
 
 
 def rk4_plant_step(params: TurbineParams, curve: CpCurve, omega_r: float,

@@ -23,7 +23,7 @@ from rews.harness import (_CSV_CHUNK, _TRACE_COLUMNS, CASE_STUDIES, Scenario,
                           read_trace_csv, run_case_studies, run_scenario,
                           run_shared_plant, scenario_from_json)
 from rews.stability import certify
-from rews.turbine import rk4_plant_step
+from rews.turbine import rk4_plant_step, steady_state_rotor_speed
 from rews.cli import main as cli_main
 from rews.cp_model import load_cp_curve
 
@@ -336,6 +336,17 @@ class TestSharedPlant:
                 initial_u_guess=base.initial_u_guess)])
         assert run_shared_plant([]) == []
 
+    def test_plant_mismatch_names_the_fields_that_differ(self):
+        base = _scenario(duration=10.0)
+        other = dataclasses.replace(
+            _scenario(duration=10.0, gamma=80.0, wind_profile=[(0.0, 8.0)]),
+            controller_gain=base.controller_gain * 1.01,
+            initial_omega_r=base.initial_omega_r, initial_u_guess=6.0)
+        with pytest.raises(ConfigError, match=(
+                r"^scenarios in one plant pass must share the plant; these "
+                r"differ: wind_profile, controller_gain$")):
+            run_shared_plant([base, base, other])
+
 
 class TestClassifier:
     def test_converged_label(self):
@@ -495,6 +506,20 @@ class TestScenarioFromJson:
         # "steady" initial speed puts the plant at the peak tip-speed ratio.
         lam0 = scn.initial_omega_r * scn.turbine.rotor_radius / 5.0
         assert lam0 == pytest.approx(scn.curve.lambda_star, rel=1e-9)
+
+    def test_steady_start_is_the_explicit_balance(self):
+        spec = {"wind_profile": [[0.0, 6.5], [20.0, 9.0]], "duration": 40.0,
+                "controller_gain": 1.0,
+                "estimator": {"family": "pi", "gamma": 40.0, "beta": 10.0}}
+        steady = scenario_from_json(dict(spec, initial={"omega_r": "steady"}))
+        assert steady == scenario_from_json(spec)
+        omega0 = steady_state_rotor_speed(steady.turbine, steady.curve, 1.0, 6.5)
+        explicit = scenario_from_json(dict(spec, initial={"omega_r": omega0}))
+        assert explicit == steady
+        assert hash(explicit) == hash(steady)
+        assert steady.initial_omega_r == omega0
+        # None asks the constructor for the same balance.
+        assert dataclasses.replace(steady, initial_omega_r=None) == steady
 
     def test_explicit_initial_conditions(self):
         scn = scenario_from_json({
@@ -703,11 +728,28 @@ class TestCli:
         ({"duration": math.inf}, "duration and dt must be positive and finite"),
         ({"estimator": {"family": "pi", "gamma": math.inf}},
          "gamma must be positive and finite, got inf"),
-        # Refused before the "steady" initial speed is solved for it.
+        # Refused before the "steady" initial speed is solved for it, as
+        # are the wind profile and the delay.
         ({"controller_gain": -1.0}, "controller gain must be positive and finite"),
         ({"controller_gain": 0.0}, "controller gain must be positive and finite"),
         ({"controller_gain": math.nan}, "controller gain must be positive and finite"),
-    ], ids=["nan", "inf", "gamma-inf", "gain-negative", "gain-zero", "gain-nan"])
+        ({"wind_profile": []}, "wind profile must contain at least one segment"),
+        ({"wind_profile": [[0.0, math.nan]]},
+         "wind speeds must be positive and finite"),
+        ({"wind_profile": [[0.0, -5.0]]}, "wind speeds must be positive and finite"),
+        ({"wind_profile": [[0.0, -5.0]], "initial": {"omega_r": 0.8}},
+         "wind speeds must be positive and finite"),
+        # The balance exists, below the rotor-speed bound.
+        ({"wind_profile": [[0.0, 0.5]]},
+         "initial rotor speed 0.05952380952380953 must be finite and not "
+         "below the lower bound 0.1"),
+        ({"estimator": {"family": "pi", "gamma": 40.0, "delay": 10.0}},
+         "delay 10.0 is not shorter than the duration 10.0"),
+        ({"estimator": {"family": "pi", "gamma": 40.0, "delay": 100.0}},
+         "delay 100.0 is not shorter than the duration 10.0"),
+    ], ids=["nan", "inf", "gamma-inf", "gain-negative", "gain-zero", "gain-nan",
+            "wind-empty", "wind-nan", "wind-negative", "wind-negative-numeric",
+            "wind-low", "delay-equal", "delay-longer"])
     def test_non_finite_scenario_is_a_clean_error(self, tmp_path, capsys,
                                                   recwarn, change, message):
         spec = {"wind_profile": [[0.0, 7.0]], "duration": 10.0,

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rews import svgplot
+from rews import harness, stability, svgplot
 
 from conftest import assert_m4
 
@@ -119,7 +119,8 @@ class TestLineChart:
 class TestNyquistChart:
     def test_monotone_locus_is_drawn_point_for_point(self, tmp_path):
         # A locus whose real part only grows, as at zero delay, is not a
-        # line chart: every finite point is drawn, byte for byte as before.
+        # line chart: every finite point is drawn, byte for byte as before
+        # the locus was clipped to the plot box.
         path = tmp_path / "n.svg"
         re = np.linspace(-30.0, 0.0, 4000)
         im = re * re / 100.0 - 5.0
@@ -127,7 +128,13 @@ class TestNyquistChart:
         svgplot.nyquist_chart(path, re, im, -20.0, 4.0)
         (points,) = _polylines(path)
         assert len(points.split()) == 3998
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        data = path.read_bytes()
+        clip = (b'<clipPath id="plot"><rect x="60" y="60" width="600" '
+                b'height="360"/></clipPath>\n')
+        ref = b' clip-path="url(#plot)"'
+        assert data.count(clip) == 1 and data.count(ref) == 1
+        unclipped = data.replace(clip, b"").replace(ref, b"")
+        assert hashlib.sha256(unclipped).hexdigest() == (
             "fcf53f75a5447f561b629363dced524824a3729ec00b5a790be1309a90396a68")
 
     def test_view_clips_to_six_radii_around_the_disk(self, tmp_path):
@@ -146,7 +153,8 @@ class TestNyquistChart:
         span = 6 * radius
         canvas = svgplot._Canvas((center - span, center + span), (-span, span),
                                  "", "Re", "Im", square=True)
-        # The locus itself is drawn unclipped.
+        # Every point of the locus is written; the clip hides what lies
+        # outside the plot box.
         assert _polylines(path) == [_scalar_points(canvas, re, im)]
 
     def test_locus_inside_the_view_is_not_clipped(self, tmp_path):
@@ -160,3 +168,26 @@ class TestNyquistChart:
         (points,) = _polylines(path)
         assert points == _scalar_points(canvas, re, im)
         assert len(points.split()) == 3
+
+    def test_emitted_locus_is_clipped_to_the_plot_box(self, tmp_path):
+        # Case 1's locus runs far outside the view (|G| grows at low
+        # frequency); only the locus polyline references the clip, and the
+        # clip rect is the plot box the axes frame.
+        verdict = stability.certify(40.0, 10.0, 0.3, harness.case_study_circle())
+        (_, _, path) = harness.emit_certificate(verdict, tmp_path)
+        root = _parse(path)
+        (line,) = root.iter(_NS + "polyline")
+        ref = line.get("clip-path")
+        clips = [el for el in root.iter(_NS + "clipPath")
+                 if ref == f"url(#{el.get('id')})"]
+        assert len(clips) == 1
+        (rect,) = clips[0]
+        assert rect.tag == _NS + "rect"
+        box = {"x": "60", "y": "60", "width": "600", "height": "360"}
+        assert dict(rect.attrib) == box
+        frames = [el for el in root.findall(_NS + "rect")
+                  if el.get("fill") == "none"]
+        assert [{k: el.get(k) for k in box} for el in frames] == [box]
+        xs = [float(p.split(",")[0]) for p in line.get("points").split()]
+        assert min(xs) < 60 or max(xs) > 660
+        assert sum(el.get("clip-path") is not None for el in root.iter()) == 1

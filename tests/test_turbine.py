@@ -296,12 +296,22 @@ class TestController:
             expected = curve.lambda_star * u / params.rotor_radius
             assert abs(w - expected) <= 1e-15 * expected, u
 
-    @pytest.mark.parametrize("u", [0.0, -3.0])
+    @pytest.mark.parametrize("u", [0.0, -3.0, math.nan])
     def test_steady_state_refuses_a_non_positive_wind(self, params, curve, u):
         k_opt = optimal_torque_gain(params, curve)
         with pytest.raises(EnvelopeError,
                            match=f"^wind speed must be positive, got {u}$"):
             steady_state_rotor_speed(params, curve, k_opt, u)
+
+    def test_steady_state_below_the_rotor_speed_bound_is_returned(self, params,
+                                                                  curve):
+        # The balance exists at 0.5 m/s; the scenario, not the solver,
+        # refuses a start below omega_r_min.
+        k_opt = optimal_torque_gain(params, curve)
+        w = steady_state_rotor_speed(params, curve, k_opt, 0.5)
+        expected = curve.lambda_star * 0.5 / params.rotor_radius
+        assert abs(w - expected) <= 1e-15 * expected
+        assert w < params.omega_r_min
 
 
 class TestStepPlant:
