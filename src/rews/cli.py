@@ -89,8 +89,7 @@ def _dispatch(args) -> int:
         circle = stability.circle_from_gains(args.k1, args.k2)
         verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
         trace = harness.run_scenario(scn)
-        harness.emit_traces([(trace, args.out)])
-        harness.emit_certificate(verdict, args.out)
+        harness.emit([(args.out, trace, verdict)])
         label = harness.classify_trace(trace)
         print(f"simulation: {label}; criterion: {verdict.label} "
               f"(min distance {verdict.min_distance:.3f})")
@@ -113,7 +112,7 @@ def _dispatch(args) -> int:
     if args.command == "stability":
         circle = stability.circle_from_gains(args.k1, args.k2)
         verdict = stability.certify(args.gamma, args.beta, args.delay, circle)
-        harness.emit_certificate(verdict, args.out)
+        harness.emit([(args.out, None, verdict)])
         print(verdict.label, f"min_distance={verdict.min_distance:.4f}",
               f"argmin_omega={verdict.argmin_omega:.4g}")
         if args.require_certified and not verdict.certified:

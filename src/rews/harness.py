@@ -6,11 +6,11 @@ rotor speed, so nothing an estimator does feeds back into the plant.
 once over a piecewise-constant wind schedule and drives every estimator
 that shares that plant in lockstep, running each distinct scenario
 once; :func:`run_scenario` is its one-estimator case.  The module also
-classifies the resulting estimate traces, reproduces the six standard
-case studies, and emits the CSV/JSON/SVG artifacts through one CSV and
-one JSON writer.  The CSV writer streams several files at once and
-formats each distinct column block once, so the columns that the traces
-of one plant pass share are formatted once for all their files.
+classifies the resulting estimate traces and reproduces the six
+standard case studies.  Each command writes its runs' CSV/JSON/SVG files
+in one :func:`emit` call, and all their CSV files in one writer call that
+formats each distinct column block once: the trace columns of one plant
+pass, and the frequency grid of their certificates, once for all files.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ __all__ = [
     "make_step_wind_scenario",
     "scenario_from_json",
     "read_trace_csv",
+    "emit",
     "emit_outputs",
-    "emit_traces",
-    "emit_certificate",
     "CASE_STUDIES",
 ]
 
@@ -421,10 +420,8 @@ def run_case_studies(out_dir=None) -> dict:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "report.json"), report)
-        dirs = {name: os.path.join(out_dir, name) for name in traces}
-        emit_traces([(trace, dirs[name]) for name, trace in traces.items()])
-        for name, verdict in verdicts.items():
-            emit_certificate(verdict, dirs[name])
+        emit([(os.path.join(out_dir, name), trace, verdicts[name])
+              for name, trace in traces.items()])
     return report
 
 
@@ -434,8 +431,9 @@ def run_case_studies(out_dir=None) -> dict:
 _TRACE_COLUMNS = ["t", "u_true", "omega_r", "omega_hat_r", "eps",
                   "u_hat", "t_g", "clamp_count"]
 
-# Rows per formatted chunk: bounds the strings alive at once.
-_CSV_CHUNK = 1024
+# Rows per formatted chunk: bounds the strings alive at once, which one
+# emit call formats for every trace and certificate CSV of a command.
+_CSV_CHUNK = 512
 
 
 def _write_csvs(files) -> None:
@@ -475,11 +473,6 @@ def _write_csvs(files) -> None:
             fh.close()
 
 
-def _write_csv(path, header, columns) -> None:
-    """One file of :func:`_write_csvs`."""
-    _write_csvs([(path, header, columns)])
-
-
 def _write_json(path, obj) -> None:
     """``obj`` as two-space-indented JSON with a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -515,16 +508,18 @@ def scenario_from_json(spec: dict) -> Scenario:
     fields raise ``ConfigError("malformed scenario: ...")``; validation
     errors (ConfigError, EnvelopeError, CurveError) keep their type."""
     try:
-        profile = spec["wind_profile"]  # Scenario converts it to floats
-        duration = float(spec["duration"])
-        dt = float(spec.get("dt", _DEFAULT_DT))
+        profile = [(_number(t, "wind_profile start"), _number(u, "wind_profile speed"))
+                   for t, u in spec["wind_profile"]]  # Scenario converts to floats
+        duration = float(_number(spec["duration"], "duration"))
+        dt = float(_number(spec.get("dt", _DEFAULT_DT), "dt"))
         est = spec["estimator"]
 
         turbine = spec.get("turbine", "default")
         if turbine == "default":
             params = default_turbine_params()
         elif isinstance(turbine, dict):
-            params = TurbineParams(**turbine)
+            params = TurbineParams(**{key: _number(value, f"turbine.{key}")
+                                      for key, value in turbine.items()})
         else:
             params = load_params_file(os.fspath(turbine))  # open() takes an int as an fd
 
@@ -534,19 +529,20 @@ def scenario_from_json(spec: dict) -> Scenario:
 
         gain = spec.get("controller_gain", "optimal")
         k_opt = (optimal_torque_gain(params, curve) if gain == "optimal"
-                 else float(gain))
+                 else float(_number(gain, "controller_gain")))
 
         config = EstimatorConfig(
             family=Family(est.get("family", "pi")),
-            gamma=float(est["gamma"]),
-            beta=float(est.get("beta", 0.0)),
-            delay_T=float(est.get("delay", 0.0)),
+            gamma=float(_number(est["gamma"], "estimator.gamma")),
+            beta=float(_number(est.get("beta", 0.0), "estimator.beta")),
+            delay_T=float(_number(est.get("delay", 0.0), "estimator.delay")),
         )
 
         initial = spec.get("initial", {})
         omega0 = initial.get("omega_r", "steady")
-        omega0 = None if omega0 == "steady" else float(omega0)
-        u_guess = float(initial.get("u_guess", _DEFAULT_U_GUESS))
+        omega0 = None if omega0 == "steady" else float(_number(omega0, "initial.omega_r"))
+        u_guess = initial.get("u_guess", _DEFAULT_U_GUESS)
+        u_guess = float(_number(u_guess, "initial.u_guess"))
 
         return Scenario(wind_profile=profile, duration=duration, dt=dt,
                         turbine=params, curve=curve, controller_gain=k_opt,
@@ -559,58 +555,61 @@ def scenario_from_json(spec: dict) -> Scenario:
         raise ConfigError(f"malformed scenario: {detail}") from exc
 
 
+def _number(value, name: str):
+    """``value``, refusing a JSON boolean: ``float(True)`` is 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {json.dumps(value)}")
+    return value
+
+
 def emit_outputs(trace: SimTrace, out_dir, circle: CircleSpec) -> list:
-    """Write the trace files (see :func:`emit_traces`) and the certificate
-    files of the estimator's gains against ``circle`` (see
-    :func:`emit_certificate`); return the written paths."""
-    verdict = _certify(trace, circle)
-    return emit_traces([(trace, out_dir)])[0] + emit_certificate(verdict, out_dir)
+    """Certify the trace's estimator gains against ``circle`` and
+    :func:`emit` the run; return its paths.  No command calls it: it
+    keeps this signature for the benchmark's warm-up and tracer, which
+    measure emission through it."""
+    return emit([(out_dir, trace, _certify(trace, circle))])[0]
 
 
-def emit_traces(runs) -> list:
-    """Write ``trace.csv``, ``timeseries.svg`` and ``rotor_speed.svg`` for
-    each ``(trace, out_dir)`` of ``runs``; return each run's paths.
-    ``trace.csv`` holds the full-precision trace: :func:`read_trace_csv`
-    reproduces its arrays bit-exactly.  The charts draw a long trace at
-    plot resolution (see :mod:`rews.svgplot`).
-
-    All the CSV files go out in one :func:`_write_csvs` call, so a
-    column block that several traces share is formatted once."""
-    names = ("trace.csv", "timeseries.svg", "rotor_speed.svg")
-    runs = [(trace, out_dir, [os.path.join(out_dir, name) for name in names])
-            for trace, out_dir in runs]
-    if any(len(trace) == 0 for trace, _, _ in runs):
+def emit(runs) -> list:
+    """Write every file of the ``(out_dir, trace, verdict)`` runs; return
+    each run's paths: ``trace.csv``, ``timeseries.svg`` and
+    ``rotor_speed.svg`` unless ``trace`` is None, then ``nyquist.csv``,
+    ``verdict.json`` and ``nyquist.svg``.  An empty trace is refused
+    before any directory is made.  :func:`read_trace_csv` reproduces a
+    ``trace.csv`` bit-exactly; long traces are charted at plot resolution
+    (see :mod:`rews.svgplot`).  All the CSV files go out in one
+    :func:`_write_csvs` call, which formats a shared column block once."""
+    runs = list(runs)
+    if any(trace is not None and len(trace) == 0 for _, trace, _ in runs):
         raise ConfigError("refusing to write an empty trace")
-    for _, out_dir, _ in runs:
+    written, csvs = [], []
+    for out_dir, trace, verdict in runs:
         os.makedirs(out_dir, exist_ok=True)
-    _write_csvs([(paths[0], _TRACE_COLUMNS,
-                  [getattr(trace, c) for c in _TRACE_COLUMNS])
-                 for trace, _, paths in runs])
-    for trace, _, (_, wind_path, speed_path) in runs:
-        svgplot.line_chart(wind_path, trace.t,
-                           [("U", trace.u_true), ("U_hat", trace.u_hat)],
-                           title="Wind speed estimate", xlabel="t [s]",
-                           ylabel="wind speed [m/s]")
-        svgplot.line_chart(speed_path, trace.t,
-                           [("omega_r", trace.omega_r),
-                            ("omega_hat_r", trace.omega_hat_r)],
-                           title="Rotor speed", xlabel="t [s]",
-                           ylabel="rotor speed [rad/s]")
-    return [paths for _, _, paths in runs]
-
-
-def emit_certificate(verdict: DistanceVerdict, out_dir) -> list:
-    """Write ``nyquist.csv``, ``verdict.json`` and ``nyquist.svg`` for one
-    verdict: the locus it judged and the disk it was judged against;
-    return their paths."""
-    fr, circle = verdict.locus, verdict.circle
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path, json_path, svg_path = (
-        os.path.join(out_dir, name)
-        for name in ("nyquist.csv", "verdict.json", "nyquist.svg"))
-    g = fr.g_values
-    _write_csv(csv_path, ["omega", "re", "im", "distance"],
-               [fr.omega_grid, g.real, g.imag, np.abs(g - circle.center)])
-    _write_json(json_path, verdict.as_dict())
-    svgplot.nyquist_chart(svg_path, g.real, g.imag, circle.center, circle.radius)
-    return [csv_path, json_path, svg_path]
+        names = ("nyquist.csv", "verdict.json", "nyquist.svg")
+        if trace is not None:
+            names = ("trace.csv", "timeseries.svg", "rotor_speed.svg") + names
+            csvs.append((os.path.join(out_dir, "trace.csv"), _TRACE_COLUMNS,
+                         [getattr(trace, c) for c in _TRACE_COLUMNS]))
+        paths = [os.path.join(out_dir, name) for name in names]
+        written.append(paths)
+        fr, circle = verdict.locus, verdict.circle
+        g = fr.g_values
+        csvs.append((paths[-3], ["omega", "re", "im", "distance"],
+                     [fr.omega_grid, g.real, g.imag, np.abs(g - circle.center)]))
+    _write_csvs(csvs)
+    del csvs  # frees the eps columns before the charts: lowers peak memory
+    for (_, trace, verdict), paths in zip(runs, written):
+        if trace is not None:
+            svgplot.line_chart(paths[1], trace.t,
+                               [("U", trace.u_true), ("U_hat", trace.u_hat)],
+                               title="Wind speed estimate", xlabel="t [s]",
+                               ylabel="wind speed [m/s]")
+            svgplot.line_chart(paths[2], trace.t,
+                               [("omega_r", trace.omega_r),
+                                ("omega_hat_r", trace.omega_hat_r)],
+                               title="Rotor speed", xlabel="t [s]",
+                               ylabel="rotor speed [rad/s]")
+        g, circle = verdict.locus.g_values, verdict.circle
+        _write_json(paths[-2], verdict.as_dict())
+        svgplot.nyquist_chart(paths[-1], g.real, g.imag, circle.center, circle.radius)
+    return written

@@ -17,9 +17,8 @@ from rews import harness, stability, svgplot
 from rews.estimators import Family, init_estimator, step_estimator
 from rews.exceptions import ConfigError, CurveError, EnvelopeError
 from rews.harness import (_CSV_CHUNK, _TRACE_COLUMNS, CASE_STUDIES, Scenario,
-                          SimTrace, _write_csv, _write_csvs, _write_json,
-                          case_study_circle, classify_trace, emit_outputs,
-                          emit_traces, make_step_wind_scenario,
+                          SimTrace, _write_csvs, _write_json, case_study_circle,
+                          classify_trace, emit, emit_outputs, make_step_wind_scenario,
                           read_trace_csv, run_case_studies, run_scenario,
                           run_shared_plant, scenario_from_json)
 from rews.stability import certify
@@ -35,6 +34,19 @@ def _scenario(**overrides):
                   wind_profile=[(0.0, 7.0)], duration=30.0)
     kwargs.update(overrides)
     return make_step_wind_scenario(**kwargs)
+
+
+def _verdict(trace):
+    """The trace's estimator gains certified against the case-study disk."""
+    cfg = trace.scenario.estimator
+    return certify(cfg.gamma, cfg.beta, cfg.delay_T, case_study_circle())
+
+
+def _drop_traces(monkeypatch):
+    """Make ``harness.emit`` write the certificate files only."""
+    write = harness.emit
+    monkeypatch.setattr(harness, "emit", lambda runs: write(
+        [(out_dir, None, verdict) for out_dir, _, verdict in runs]))
 
 
 class TestScenarioValidation:
@@ -400,7 +412,7 @@ class TestSerialization:
     def test_trace_csv_round_trip_bit_exact(self, tmp_path):
         trace = run_scenario(_scenario(family=Family.IANDI, beta=0.0,
                                        duration=5.0))
-        emit_traces([(trace, tmp_path)])
+        emit([(tmp_path, trace, _verdict(trace))])
         data = read_trace_csv(tmp_path / "trace.csv")
         for name in _TRACE_COLUMNS:
             assert np.array_equal(data[name], getattr(trace, name)), name
@@ -424,7 +436,7 @@ class TestSerialization:
                 for row in zip(*cols):
                     writer.writerow([repr(float(v)) for v in row])
             path = tmp_path / "out.csv"
-            _write_csv(path, header[:len(cols)], cols)
+            _write_csvs([(path, header[:len(cols)], cols)])
             assert path.read_bytes() == expected.read_bytes()
             assert path.read_bytes().count(b"\r\n") == n + 1
 
@@ -485,9 +497,12 @@ class TestSerialization:
         empty = SimTrace(
             scenario=trace.scenario,
             **{c: getattr(trace, c)[:0] for c in _TRACE_COLUMNS if c != "eps"})
+        verdict = _verdict(trace)
         with pytest.raises(ConfigError):
-            emit_traces([(trace, tmp_path / "full"), (empty, tmp_path / "empty")])
+            emit([(tmp_path / "full", trace, verdict),
+                  (tmp_path / "empty", empty, verdict)])
         assert not (tmp_path / "full").exists()
+        assert not (tmp_path / "empty").exists()
         with pytest.raises(ConfigError):
             emit_outputs(empty, tmp_path / "empty", circle=case_study_circle())
 
@@ -558,6 +573,35 @@ class TestScenarioFromJson:
         with pytest.raises(ConfigError, match="initial wind speed guess"):
             scenario_from_json(spec)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"duration": True}, "duration must be a number, got true"),
+        ({"dt": True}, "dt must be a number, got true"),
+        ({"controller_gain": True}, "controller_gain must be a number, got true"),
+        ({"estimator": {"gamma": True}}, "estimator.gamma must be a number, got true"),
+        ({"estimator": {"gamma": 40.0, "beta": True}},
+         "estimator.beta must be a number, got true"),
+        ({"estimator": {"gamma": 40.0, "delay": False}},
+         "estimator.delay must be a number, got false"),
+        ({"initial": {"omega_r": True}}, "initial.omega_r must be a number, got true"),
+        ({"initial": {"u_guess": True}}, "initial.u_guess must be a number, got true"),
+        ({"wind_profile": [[False, 7.0]]},
+         "wind_profile start must be a number, got false"),
+        ({"wind_profile": [[0.0, True]]},
+         "wind_profile speed must be a number, got true"),
+        ({"turbine": {"rho": True, "rotor_radius": 63.0, "gear_ratio": 97.0,
+                      "inertia_generator": 534.116, "inertia_rotor": 3.8759228e7}},
+         "turbine.rho must be a number, got true"),
+    ], ids=["duration", "dt", "gain", "gamma", "beta", "delay", "omega-r",
+            "u-guess", "wind-start", "wind-speed", "turbine"])
+    def test_json_booleans_are_not_numbers(self, change, message):
+        # float(True) is 1.0, so each of these would build a scenario.
+        spec = {"wind_profile": [[0.0, 7.0]], "duration": 10.0,
+                "estimator": {"gamma": 40.0}}
+        spec.update(change)
+        with pytest.raises(ConfigError) as info:
+            scenario_from_json(spec)
+        assert str(info.value) == f"malformed scenario: {message}"
+
     def test_validation_errors_keep_their_type(self, tmp_path):
         # Well-formed fields that fail validation are not parsing errors.
         spec = {"wind_profile": [[0.0, 7.0]], "duration": 30.0,
@@ -577,9 +621,9 @@ class TestEmitOutputs:
         trace = run_scenario(_scenario(duration=5.0))
         out = tmp_path / "run"
         written = emit_outputs(trace, out, circle=case_study_circle())
-        names = {p.split("/")[-1] for p in map(str, written)}
-        assert names == {"trace.csv", "timeseries.svg", "rotor_speed.svg",
-                         "nyquist.csv", "verdict.json", "nyquist.svg"}
+        names = [p.split("/")[-1] for p in map(str, written)]
+        assert names == ["trace.csv", "timeseries.svg", "rotor_speed.svg",
+                         "nyquist.csv", "verdict.json", "nyquist.svg"]
         for p in written:
             assert (out / p.split("/")[-1]).exists()
         verdict = json.loads((out / "verdict.json").read_text())
@@ -587,7 +631,7 @@ class TestEmitOutputs:
 
     def test_report_circle_is_every_verdict_circle(self, tmp_path, monkeypatch):
         # Only the certificate files matter here, so skip the trace files.
-        monkeypatch.setattr(harness, "emit_traces", lambda runs: [])
+        _drop_traces(monkeypatch)
         report = run_case_studies(out_dir=tmp_path)
         circle = json.loads((tmp_path / "report.json").read_text())["circle"]
         assert circle == report["circle"] == case_study_circle().as_dict()
@@ -606,7 +650,7 @@ class TestEmitOutputs:
             return certify(*args)
 
         monkeypatch.setattr(stability, "certify", counting)
-        monkeypatch.setattr(harness, "emit_traces", lambda runs: [])
+        _drop_traces(monkeypatch)
         run_case_studies(out_dir=tmp_path)
         assert len(list(tmp_path.glob("*/verdict.json"))) == 8
         with_files = dict(calls)
@@ -620,11 +664,12 @@ class TestEmitOutputs:
         # charts' points differ, and they are the M4 reduction.
         times = {}
 
-        def recording(runs, emit=emit_traces):
-            times.update((pathlib.Path(out).name, trace.t) for trace, out in runs)
-            return emit(runs)
+        def recording(runs, write=emit):
+            runs = list(runs)
+            times.update((pathlib.Path(out).name, trace.t) for out, trace, _ in runs)
+            return write(runs)
 
-        monkeypatch.setattr(harness, "emit_traces", recording)
+        monkeypatch.setattr(harness, "emit", recording)
         run_case_studies(out_dir=tmp_path / "m4")
         monkeypatch.setattr(svgplot._Canvas, "m4", lambda self, xs, ys: (xs, ys))
         run_case_studies(out_dir=tmp_path / "full")
@@ -655,6 +700,30 @@ class TestEmitOutputs:
             rows = (path.parent / "nyquist.csv").read_text().count("\n") - 1
             (locus,) = points.findall(path.read_text())
             assert len(locus.split()) == rows, path
+
+    def test_each_command_writes_its_csv_files_in_one_call(self, tmp_path,
+                                                           monkeypatch):
+        # Every trace.csv and nyquist.csv of a command goes to one writer
+        # call; recorded, not written, to keep the test fast.
+        calls = []
+        monkeypatch.setattr(harness, "_write_csvs", lambda files: calls.append(
+            [pathlib.Path(path).relative_to(tmp_path).as_posix()
+             for path, _, _ in files]))
+        run_case_studies(out_dir=tmp_path / "cs")
+        names = [name for name, *_ in CASE_STUDIES] + ["pi_gamma80", "iandi_gamma80"]
+        assert calls == [[f"cs/{name}/{file}" for name in names
+                          for file in ("trace.csv", "nyquist.csv")]]
+        calls.clear()
+        scn = tmp_path / "scenario.json"
+        scn.write_text(json.dumps({"wind_profile": [[0.0, 7.0]], "duration": 1.0,
+                                   "estimator": {"gamma": 40.0, "beta": 10.0}}))
+        assert cli_main(["simulate", "--scenario", str(scn),
+                         "--out", str(tmp_path / "sim")]) == 0
+        assert calls == [["sim/trace.csv", "sim/nyquist.csv"]]
+        calls.clear()
+        assert cli_main(["stability", "--gamma", "40",
+                         "--out", str(tmp_path / "st")]) == 0
+        assert calls == [["st/nyquist.csv"]]
 
     def test_report_artifact(self, tmp_path):
         report = {"cases": [{"name": "case1", "min_distance": 26.437023491820906,

@@ -6,7 +6,7 @@ import pytest
 
 from rews import stability, svgplot
 from rews.exceptions import ConfigError, GridCoverageError
-from rews.harness import case_study_circle, emit_certificate
+from rews.harness import case_study_circle, emit
 from rews.stability import (CircleSpec, DistanceVerdict, certify,
                             circle_from_gains, default_omega_grid,
                             distance_criterion, frequency_response,
@@ -247,7 +247,7 @@ class TestMargins:
 class TestExports:
     def test_nyquist_csv(self, tmp_path):
         circle = case_study_circle()
-        emit_certificate(certify(40.0, 10.0, 0.3, circle), tmp_path)
+        emit([(tmp_path, None, certify(40.0, 10.0, 0.3, circle))])
         lines = (tmp_path / "nyquist.csv").read_text().strip().splitlines()
         assert lines[0] == "omega,re,im,distance"
         assert len(lines) == default_omega_grid().size + 1
@@ -257,7 +257,7 @@ class TestExports:
 
     def test_nyquist_csv_matches_frequency_response(self, tmp_path):
         circle = case_study_circle()
-        emit_certificate(certify(40.0, 10.0, 0.3, circle), tmp_path)
+        emit([(tmp_path, None, certify(40.0, 10.0, 0.3, circle))])
         data = np.loadtxt(tmp_path / "nyquist.csv", delimiter=",", skiprows=1)
         fr = frequency_response(40.0, 10.0, 0.3, default_omega_grid())
         assert np.array_equal(data[:, 0], fr.omega_grid)
@@ -269,7 +269,7 @@ class TestExports:
         # With no delay the minimum sits at the high-frequency edge, so
         # certify widens the grid; the CSV must show that wider grid.
         verdict = certify(40.0, 0.0, 0.0, case_study_circle())
-        emit_certificate(verdict, tmp_path)
+        emit([(tmp_path, None, verdict)])
         assert verdict.argmin_omega > default_omega_grid()[-1]
         data = np.loadtxt(tmp_path / "nyquist.csv", delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], verdict.locus.omega_grid)
@@ -280,7 +280,7 @@ class TestExports:
     def test_verdict_json(self, tmp_path):
         circle = case_study_circle()
         verdict = certify(40.0, 10.0, 0.3, circle)
-        written = emit_certificate(verdict, tmp_path)
+        (written,) = emit([(tmp_path, None, verdict)])
         assert verdict.circle == circle
         assert str(tmp_path / "verdict.json") in map(str, written)
         record = json.loads((tmp_path / "verdict.json").read_text())
@@ -295,8 +295,7 @@ class TestExports:
         assert (record["k1"], record["k2"]) == (0.016, 0.095)
         assert record["verdict"] == verdict.label
 
-    def test_emit_certificate_writes_the_verdict_it_is_given(self, tmp_path,
-                                                             monkeypatch):
+    def test_emit_writes_the_verdict_it_is_given(self, tmp_path, monkeypatch):
         # The verdict carries its disk, so a non-default circle is written
         # without certifying again.
         circle = circle_from_gains(0.03, 0.09)
@@ -304,10 +303,10 @@ class TestExports:
         assert verdict.circle == circle
 
         def refuse(*args):
-            raise AssertionError("emit_certificate certified again")
+            raise AssertionError("emit certified again")
 
         monkeypatch.setattr(stability, "certify", refuse)
-        written = emit_certificate(verdict, tmp_path / "out")
+        (written,) = emit([(tmp_path / "out", None, verdict)])
         assert [p.split("/")[-1] for p in map(str, written)] == [
             "nyquist.csv", "verdict.json", "nyquist.svg"]
         record = json.loads((tmp_path / "out" / "verdict.json").read_text())

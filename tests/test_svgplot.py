@@ -174,7 +174,7 @@ class TestNyquistChart:
         # frequency); only the locus polyline references the clip, and the
         # clip rect is the plot box the axes frame.
         verdict = stability.certify(40.0, 10.0, 0.3, harness.case_study_circle())
-        (_, _, path) = harness.emit_certificate(verdict, tmp_path)
+        ((_, _, path),) = harness.emit([(tmp_path, None, verdict)])
         root = _parse(path)
         (line,) = root.iter(_NS + "polyline")
         ref = line.get("clip-path")
