@@ -417,7 +417,11 @@ class TestSerialization:
         for name in _TRACE_COLUMNS:
             assert np.array_equal(data[name], getattr(trace, name)), name
 
-    @pytest.mark.parametrize("n", [1, _CSV_CHUNK, 2 * _CSV_CHUNK + 7])
+    # One chunk, a chunk's end and a file ending mid-chunk at the current
+    # chunk size, plus the fixed lengths 1024 and 2055 (whole chunks, and
+    # several chunks ending mid-chunk, at any power-of-two size up to 1024).
+    @pytest.mark.parametrize(
+        "n", sorted({1, _CSV_CHUNK, 2 * _CSV_CHUNK + 7, 1024, 2055}))
     def test_write_csv_bytes_match_repr_rows(self, tmp_path, n):
         special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1]
         rng = np.random.default_rng(n)
