@@ -49,9 +49,10 @@ class CpCurve:
     lambda_min: float = field(init=False)  # the grid's ends as Python floats
     lambda_max: float = field(init=False)
     lambda_zero: float = field(init=False)
-    # The grid and the Horner coefficients per segment, as floats for
-    # _cp_scalar, the one C_p evaluator.
+    # The grid, its interior knots and the Horner coefficients per segment,
+    # as floats for _cp_scalar, the one C_p evaluator.
     _breaks: list = field(init=False, repr=False)
+    _interior: list = field(init=False, repr=False)
     _coeffs: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -63,6 +64,7 @@ class CpCurve:
             arr.flags.writeable = False
         for name, value in (("lambda_grid", lam), ("cp_values", cp),
                             ("_breaks", lam.tolist()),
+                            ("_interior", lam[1:-1].tolist()),
                             ("_coeffs", [tuple(row) for row in c.T.tolist()])):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "lambda_star", self._breaks[peak])
@@ -89,14 +91,11 @@ class CpCurve:
 
     def _cp_scalar(self, lam: float) -> float:
         # The one C_p evaluator, run several times per simulator step; the
-        # caller checks the envelope.
-        breaks = self._breaks
-        i = bisect_right(breaks, lam) - 1
-        if i < 0:
-            i = 0
-        elif i > len(breaks) - 2:
-            i = len(breaks) - 2
-        t = lam - breaks[i]
+        # caller checks the envelope.  Searching the interior knots puts any
+        # lam beyond them on an end segment, as it must when phi_clamped's
+        # edge winds put lam one rounding step outside the envelope.
+        i = bisect_right(self._interior, lam)
+        t = lam - self._breaks[i]
         c0, c1, c2, c3 = self._coeffs[i]
         return ((c0 * t + c1) * t + c2) * t + c3
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -191,21 +192,6 @@ _PLANT_FIELDS = tuple(f.name for f in fields(Scenario)
                       if f.name not in ("estimator", "initial_u_guess"))
 
 
-class _EstimatorRun:
-    """Per-estimator state and record columns inside one plant pass."""
-
-    __slots__ = ("config", "state", "omega_hat", "u_hat", "clamps", "last")
-
-    def __init__(self, scn: Scenario, n: int):
-        self.config = scn.estimator
-        self.state = init_estimator(scn.estimator, scn.initial_omega_r,
-                                    scn.initial_u_guess, scn.dt)
-        self.omega_hat = np.empty(n + 1)
-        self.u_hat = np.empty(n + 1)
-        self.clamps = np.zeros(n + 1)
-        self.last = None   # index of the guard trip, None while live
-
-
 def run_shared_plant(scenarios) -> list:
     """Drive every scenario's estimator from one plant integration.
 
@@ -248,27 +234,29 @@ def run_shared_plant(scenarios) -> list:
 
     omega = np.empty(n + 1)
     t_g = np.empty(n + 1)
-    runs = {scn: _EstimatorRun(scn, n) for scn in dict.fromkeys(scenarios)}
-    live = list(runs.values())
     w = first.initial_omega_r
+    # Per distinct scenario: (config, state, omega_hat, u_hat, clamps).
+    runs = {scn: (scn.estimator,
+                  init_estimator(scn.estimator, w, scn.initial_u_guess, dt),
+                  np.empty(n + 1), np.empty(n + 1), np.zeros(n + 1))
+            for scn in dict.fromkeys(scenarios)}
+    stops = {}   # scenario -> step of its guard trip
+    live = list(runs.items())
 
     for k in range(n + 1):
         gw = gear * w
         tg = k_gain * (gw * gw)  # x * x: pow() is not correctly rounded
         omega[k] = w
         t_g[k] = tg
-        tripped = False
-        for run in live:
-            state = run.state
-            run.omega_hat[k] = state.omega_hat_r
-            uh = step_estimator(params, curve, state, w, tg, run.config)
-            run.u_hat[k] = uh
-            run.clamps[k] = state.clamp_count
-            if not math.isfinite(uh) or abs(uh) > DIVERGENCE_GUARD:
-                run.last = k
-                tripped = True
-        if tripped:
-            live = [run for run in live if run.last is None]
+        for scn, (config, state, omega_hat, u_hat, clamps) in live:
+            omega_hat[k] = state.omega_hat_r
+            uh = step_estimator(params, curve, state, w, tg, config)
+            u_hat[k] = uh
+            clamps[k] = state.clamp_count
+            if not -DIVERGENCE_GUARD <= uh <= DIVERGENCE_GUARD:  # also NaN
+                stops[scn] = k
+        if len(live) + len(stops) > len(runs):  # an estimator tripped this step
+            live = [run for run in live if run[0] not in stops]
             if not live:
                 break
         if k < n:
@@ -276,24 +264,23 @@ def run_shared_plant(scenarios) -> list:
 
     for arr in (times, u_arr, omega, t_g):
         arr.flags.writeable = False
-    for run in runs.values():
-        for arr in (run.omega_hat, run.u_hat, run.clamps):
+    for _, _, *columns in runs.values():
+        for arr in columns:
             arr.flags.writeable = False
     traces = []
     for scn in scenarios:
-        run = runs[scn]
-        stopped = run.last is not None
-        sl = slice(0, (run.last if stopped else n) + 1)
+        _, _, omega_hat, u_hat, clamps = runs[scn]
+        sl = slice(0, stops.get(scn, n) + 1)
         traces.append(SimTrace(
             scenario=scn,
             t=times[sl],
             u_true=u_arr[sl],
             omega_r=omega[sl],
-            omega_hat_r=run.omega_hat[sl],
-            u_hat=run.u_hat[sl],
+            omega_hat_r=omega_hat[sl],
+            u_hat=u_hat[sl],
             t_g=t_g[sl],
-            clamp_count=run.clamps[sl],
-            stop_time=times[run.last] if stopped else None,
+            clamp_count=clamps[sl],
+            stop_time=times[stops[scn]] if scn in stops else None,
         ))
     return traces
 
@@ -509,9 +496,9 @@ def scenario_from_json(spec: dict) -> Scenario:
     errors (ConfigError, EnvelopeError, CurveError) keep their type."""
     try:
         profile = [(_number(t, "wind_profile start"), _number(u, "wind_profile speed"))
-                   for t, u in spec["wind_profile"]]  # Scenario converts to floats
-        duration = float(_number(spec["duration"], "duration"))
-        dt = float(_number(spec.get("dt", _DEFAULT_DT), "dt"))
+                   for t, u in spec["wind_profile"]]
+        duration = _number(spec["duration"], "duration")
+        dt = _number(spec.get("dt", _DEFAULT_DT), "dt")
         est = spec["estimator"]
 
         turbine = spec.get("turbine", "default")
@@ -529,20 +516,19 @@ def scenario_from_json(spec: dict) -> Scenario:
 
         gain = spec.get("controller_gain", "optimal")
         k_opt = (optimal_torque_gain(params, curve) if gain == "optimal"
-                 else float(_number(gain, "controller_gain")))
+                 else _number(gain, "controller_gain"))
 
         config = EstimatorConfig(
             family=Family(est.get("family", "pi")),
-            gamma=float(_number(est["gamma"], "estimator.gamma")),
-            beta=float(_number(est.get("beta", 0.0), "estimator.beta")),
-            delay_T=float(_number(est.get("delay", 0.0), "estimator.delay")),
+            gamma=_number(est["gamma"], "estimator.gamma"),
+            beta=_number(est.get("beta", 0.0), "estimator.beta"),
+            delay_T=_number(est.get("delay", 0.0), "estimator.delay"),
         )
 
         initial = spec.get("initial", {})
         omega0 = initial.get("omega_r", "steady")
-        omega0 = None if omega0 == "steady" else float(_number(omega0, "initial.omega_r"))
-        u_guess = initial.get("u_guess", _DEFAULT_U_GUESS)
-        u_guess = float(_number(u_guess, "initial.u_guess"))
+        omega0 = None if omega0 == "steady" else _number(omega0, "initial.omega_r")
+        u_guess = _number(initial.get("u_guess", _DEFAULT_U_GUESS), "initial.u_guess")
 
         return Scenario(wind_profile=profile, duration=duration, dt=dt,
                         turbine=params, curve=curve, controller_gain=k_opt,
@@ -550,16 +536,19 @@ def scenario_from_json(spec: dict) -> Scenario:
                         initial_u_guess=u_guess)
     except (ConfigError, EnvelopeError, CurveError):
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"malformed scenario: {detail}") from exc
 
 
-def _number(value, name: str):
-    """``value``, refusing a JSON boolean: ``float(True)`` is 1.0."""
-    if isinstance(value, bool):
+def _number(value, name: str) -> float:
+    """``value`` as a float if it is a real number other than a bool (a JSON
+    number, or a numpy scalar from a caller in Python); TypeError for
+    anything else, such as ``"7"`` or ``true``, which ``float()`` would
+    take.  OverflowError for an int beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {json.dumps(value)}")
-    return value
+    return float(value)
 
 
 def emit_outputs(trace: SimTrace, out_dir, circle: CircleSpec) -> list:

@@ -57,14 +57,21 @@ def over(query, curve, lam):
     return np.array([query(curve, x) for x in np.asarray(lam, dtype=float).tolist()])
 
 
+def segment(curve, lam):
+    """Index of the PCHIP piece at ``lam``: a bisection over every knot,
+    clamped to the end pieces.  The reference for the piece that
+    ``CpCurve._cp_scalar`` picks by searching the interior knots."""
+    breaks = curve._breaks
+    return min(max(bisect_right(breaks, lam) - 1, 0), len(breaks) - 2)
+
+
 def cp_prime(curve, lam):
     """dC_p/dlambda at ``lam``: the derivative of the PCHIP piece that
     ``CpCurve._cp_scalar`` evaluates there.  Refuses ``lam`` outside the
     envelope."""
     curve._check_envelope(lam)
-    breaks = curve._breaks
-    i = min(max(bisect_right(breaks, lam) - 1, 0), len(breaks) - 2)
-    t = lam - breaks[i]
+    i = segment(curve, lam)
+    t = lam - curve._breaks[i]
     c0, c1, c2, _ = curve._coeffs[i]
     return (3.0 * c0 * t + 2.0 * c1) * t + c2
 

@@ -9,7 +9,7 @@ from rews.cp_model import (CpCurve, _pchip_coefficients, default_cp_curve,
                            load_cp_curve, read_curve_csv)
 from rews.exceptions import CurveError, EnvelopeError
 
-from conftest import cp_prime, kappa, over, sine_cp
+from conftest import cp_prime, kappa, over, segment, sine_cp
 
 
 def test_too_few_points_rejected():
@@ -125,6 +125,26 @@ def test_cp_midpoint_matches_generator(sine_curve):
     mids = 0.5 * (grid[:-1] + grid[1:])
     for lam in mids.tolist():
         assert sine_curve._cp_scalar(lam) == pytest.approx(sine_cp(lam), abs=1e-3)
+
+
+@pytest.mark.parametrize("which", ["curve", "sine_curve"])
+def test_cp_scalar_picks_the_clamped_segment(which, request):
+    # Every knot and its float neighbours, seeded ratios from one unit
+    # below the envelope to one unit above it, the infinities and NaN.
+    c = request.getfixturevalue(which)
+    knots = np.array(c._breaks)
+    lams = np.concatenate((
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        np.random.default_rng(31).uniform(c.lambda_min - 1.0, c.lambda_max + 1.0,
+                                          100_000),
+        [-np.inf, np.inf, np.nan])).tolist()
+    expected = []
+    for lam in lams:
+        i = segment(c, lam)
+        t = lam - c._breaks[i]
+        c0, c1, c2, c3 = c._coeffs[i]
+        expected.append(((c0 * t + c1) * t + c2) * t + c3)
+    assert over(CpCurve._cp_scalar, c, lams).tobytes() == np.array(expected).tobytes()
 
 
 def test_cp_rejects_out_of_envelope(curve):

@@ -390,6 +390,23 @@ class TestConcordance:
                 trace = run_scenario(make_step_wind_scenario(gamma, beta, delay))
                 assert classify_trace(trace) == "converged", name
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP items 1 and 2: the certificate checks neither encirclement "
+        "nor the sampled loop, so these are certified and trip the guard"))
+    def test_known_unsound_certificates(self):
+        # Certified against the case-study disk, yet on a 5 -> 7 m/s step
+        # they trip the divergence guard at 51.12, 85.66, 85.84 and 152.37 s.
+        circle = case_study_circle()
+        configs = [(23.0, 134.0, 1.0, Family.PI), (38.3, 48.4, 1.57, Family.PI),
+                   (30.2, 50.3, 1.07, Family.PI), (30000.0, 0.0, 0.0, Family.EQUIV_P)]
+        traces = run_shared_plant(make_step_wind_scenario(
+            gamma, beta, delay, family=family,
+            wind_profile=[(0.0, 5.0), (150.0, 7.0)], duration=180.0)
+            for gamma, beta, delay, family in configs)
+        for (gamma, beta, delay, _), trace in zip(configs, traces):
+            if certify(gamma, beta, delay, circle).certified:
+                assert not trace.stopped_early, (gamma, beta, delay, trace.stop_time)
+
     def test_randomized_configs(self):
         circle = case_study_circle()
         rng = np.random.default_rng(1234)
@@ -482,6 +499,13 @@ class TestSerialization:
             path.write_text(text)
             with pytest.raises(ConfigError, match="header"):
                 read_trace_csv(path)
+
+    def test_trace_csv_without_rows_refused(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(_TRACE_COLUMNS) + "\n\n")
+        with pytest.raises(ConfigError) as info:
+            read_trace_csv(path)
+        assert str(info.value) == f"{path}: empty trace"
 
     @pytest.mark.parametrize("row, message", [
         ("0.0,5.0,0.5", "line 3 has 3 fields, not 8: '0.0,5.0,0.5'"),
@@ -605,6 +629,37 @@ class TestScenarioFromJson:
         with pytest.raises(ConfigError) as info:
             scenario_from_json(spec)
         assert str(info.value) == f"malformed scenario: {message}"
+
+    @pytest.mark.parametrize("change, message", [
+        ({"duration": "10"}, 'duration must be a number, got "10"'),
+        ({"dt": "0.01"}, 'dt must be a number, got "0.01"'),
+        ({"controller_gain": "1.0"}, 'controller_gain must be a number, got "1.0"'),
+        ({"estimator": {"gamma": "40"}}, 'estimator.gamma must be a number, got "40"'),
+        ({"estimator": {"gamma": 40.0, "beta": "10"}},
+         'estimator.beta must be a number, got "10"'),
+        ({"estimator": {"gamma": 40.0, "delay": "0.3"}},
+         'estimator.delay must be a number, got "0.3"'),
+        ({"initial": {"u_guess": "6"}}, 'initial.u_guess must be a number, got "6"'),
+        ({"initial": {"omega_r": "0.8"}}, 'initial.omega_r must be a number, got "0.8"'),
+        ({"wind_profile": [["0", 7.0]]}, 'wind_profile start must be a number, got "0"'),
+        ({"wind_profile": [[0.0, "7"]]}, 'wind_profile speed must be a number, got "7"'),
+        # A JSON integer has no range limit; float() raised OverflowError.
+        ({"duration": 10 ** 400}, "int too large to convert to float"),
+    ], ids=["duration", "dt", "gain", "gamma", "beta", "delay", "u-guess",
+            "omega-r", "wind-start", "wind-speed", "huge-int"])
+    def test_json_strings_are_not_numbers(self, change, message):
+        # float() takes each string, so each built a scenario; the huge int
+        # escaped as an OverflowError.
+        spec = {"wind_profile": [[0.0, 7.0]], "duration": 10.0,
+                "estimator": {"gamma": 40.0}}
+        spec.update(change)
+        with pytest.raises(ConfigError) as info:
+            scenario_from_json(spec)
+        assert str(info.value) == f"malformed scenario: {message}"
+
+    def test_numpy_scalars_are_numbers(self):
+        assert (make_step_wind_scenario(np.float32(40.0), np.int64(10), 0.3)
+                == make_step_wind_scenario(40.0, 10.0, 0.3))
 
     def test_validation_errors_keep_their_type(self, tmp_path):
         # Well-formed fields that fail validation are not parsing errors.
@@ -878,6 +933,31 @@ class TestCli:
         out = capsys.readouterr().out
         value = float(out.strip().rsplit(" ", 1)[-1])
         assert 12.0 <= value <= 16.0
+        # --beta fixes the integral gain and searches the delay.
+        delay = stability.max_stable_delay(40.0, 10.0, case_study_circle())
+        assert cli_main(["margins", "--gamma", "40", "--beta", "10"]) == 0
+        assert capsys.readouterr().out == (
+            f"largest certified delay at gamma=40.0, beta=10.0: {delay:.3f}\n")
+
+    def test_case_studies_command(self, tmp_path, capsys, monkeypatch):
+        row = {"certified": True, "min_distance": 1.23456, "sim_label": "converged"}
+        report = {"cases": [dict(row, name="case1"),
+                            dict(row, name="case2", certified=False,
+                                 min_distance=-0.5, sim_label="diverged")],
+                  "gain_comparison": [dict(row, name="pi_gamma80")],
+                  "beta_margin": {"value": 14.06789},
+                  "delay_margin": {"value": 0.31449}}
+        calls = []
+        monkeypatch.setattr(harness, "run_case_studies",
+                            lambda out_dir: calls.append(out_dir) or report)
+        assert cli_main(["case-studies", "--out", str(tmp_path)]) == 0
+        assert calls == [str(tmp_path)]
+        assert capsys.readouterr().out == (
+            "case1: certified=True min_distance=1.235 sim=converged\n"
+            "case2: certified=False min_distance=-0.500 sim=diverged\n"
+            "pi_gamma80: certified=True min_distance=1.235 sim=converged\n"
+            "beta margin (gamma=40, delay=0.3): 14.068\n"
+            "delay margin (gamma=40, beta=10): 0.314\n")
 
     @pytest.mark.parametrize("change, message", [
         ({"estimator": {"family": "pi", "beta": 10.0}},
@@ -886,7 +966,7 @@ class TestCli:
          "malformed scenario: 'bogus' is not a valid Family"),
         ({"turbine": {"rho": 1.225}}, "malformed scenario: TurbineParams"),
         ({"initial": {"omega_r": "abc"}},
-         "malformed scenario: could not convert string to float"),
+         'malformed scenario: initial.omega_r must be a number, got "abc"'),
         ({"estimator": {"family": "p", "gamma": 40.0, "beta": 200.0,
                         "delay": 0.3}}, "beta is a PI gain"),
         # open() would take an integer as a file descriptor (0 is stdin).
