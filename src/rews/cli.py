@@ -78,25 +78,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "simulate":
-        try:
-            with open(args.scenario, encoding="utf-8") as fh:
-                spec = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
-            raise ConfigError(f"{args.scenario}: not a JSON scenario file: {exc}") from exc
-        scn = harness.scenario_from_json(spec)
-        cfg = scn.estimator
-        circle = stability.circle_from_gains(args.k1, args.k2)
-        verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
-        trace = harness.run_scenario(scn)
-        harness.emit([(args.out, trace, verdict)])
-        label = harness.classify_trace(trace)
-        print(f"simulation: {label}; criterion: {verdict.label} "
-              f"(min distance {verdict.min_distance:.3f})")
-        if args.require_certified and not verdict.certified:
-            return 2
-        return 0
-
     if args.command == "case-studies":
         report = harness.run_case_studies(out_dir=args.out)
         for row in report["cases"] + report["gain_comparison"]:
@@ -109,18 +90,8 @@ def _dispatch(args) -> int:
               f"{report['delay_margin']['value']:.3f}")
         return 0
 
-    if args.command == "stability":
-        circle = stability.circle_from_gains(args.k1, args.k2)
-        verdict = stability.certify(args.gamma, args.beta, args.delay, circle)
-        harness.emit([(args.out, None, verdict)])
-        print(verdict.label, f"min_distance={verdict.min_distance:.4f}",
-              f"argmin_omega={verdict.argmin_omega:.4g}")
-        if args.require_certified and not verdict.certified:
-            return 2
-        return 0
-
+    circle = stability.circle_from_gains(args.k1, args.k2)  # refuses bad slopes first
     if args.command == "margins":
-        circle = stability.circle_from_gains(args.k1, args.k2)
         if args.delay is not None:
             value = stability.max_stable_beta(args.gamma, args.delay, circle)
             print(f"largest certified beta at gamma={args.gamma}, "
@@ -131,7 +102,25 @@ def _dispatch(args) -> int:
                   f"beta={args.beta}: {value:.3f}")
         return 0
 
-    raise ConfigError(f"unknown command {args.command!r}")
+    if args.command == "simulate":
+        try:
+            with open(args.scenario, encoding="utf-8") as fh:
+                spec = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
+            raise ConfigError(f"{args.scenario}: not a JSON scenario file: {exc}") from exc
+        scn = harness.scenario_from_json(spec)
+        cfg = scn.estimator
+        verdict = stability.certify(cfg.gamma, cfg.beta, cfg.delay_T, circle)
+        trace = harness.run_scenario(scn)
+        harness.emit([(args.out, trace, verdict)])
+        print(f"simulation: {harness.classify_trace(trace)}; criterion: "
+              f"{verdict.label} (min distance {verdict.min_distance:.3f})")
+    else:  # stability
+        verdict = stability.certify(args.gamma, args.beta, args.delay, circle)
+        harness.emit([(args.out, None, verdict)])
+        print(verdict.label, f"min_distance={verdict.min_distance:.4f}",
+              f"argmin_omega={verdict.argmin_omega:.4g}")
+    return 2 if args.require_certified and not verdict.certified else 0
 
 
 if __name__ == "__main__":

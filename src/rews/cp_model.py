@@ -83,12 +83,6 @@ class CpCurve:
     def __hash__(self):
         return hash(self._table())
 
-    def _check_envelope(self, lam: float) -> None:
-        """Raise EnvelopeError unless ``lam`` is in ``[lambda_min, lambda_max]``."""
-        if not self.lambda_min <= lam <= self.lambda_max:
-            raise EnvelopeError(f"tip-speed ratio {float(lam)} outside "
-                                f"[{self.lambda_min}, {self.lambda_max}]")
-
     def _cp_scalar(self, lam: float) -> float:
         # The one C_p evaluator, run several times per simulator step; the
         # caller checks the envelope.  Searching the interior knots puts any

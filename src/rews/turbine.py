@@ -27,8 +27,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TurbineParams:
-    """Physical constants of the drivetrain (SI units).  Every input must be
-    positive and finite; the derived fields are computed from them."""
+    """Physical constants of the drivetrain (SI units).  Every input, and
+    every field derived from them, must be positive and finite."""
 
     rho: float                 # air density, kg/m^3
     rotor_radius: float        # R, m
@@ -42,15 +42,27 @@ class TurbineParams:
 
     def __post_init__(self):
         for name in (f.name for f in fields(self) if f.init):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # also refuses NaN
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-        area = math.pi * self.rotor_radius ** 2
-        j_eq = self.inertia_generator + self.inertia_rotor / self.gear_ratio ** 2
-        object.__setattr__(self, "swept_area", area)
-        object.__setattr__(self, "inertia_equivalent", j_eq)
-        object.__setattr__(self, "phi_coefficient",
-                           self.rho * area / (2.0 * self.gear_ratio * j_eq))
+            _in_range(name, lambda: getattr(self, name))
+        for name, formula in (
+                ("swept_area", lambda: math.pi * self.rotor_radius ** 2),
+                ("inertia_equivalent", lambda: self.inertia_generator
+                 + self.inertia_rotor / self.gear_ratio ** 2),
+                ("phi_coefficient", lambda: self.rho * self.swept_area
+                 / (2.0 * self.gear_ratio * self.inertia_equivalent))):
+            object.__setattr__(self, name, _in_range(name, formula))
+
+
+def _in_range(name: str, formula) -> float:
+    """``formula()``; ConfigError naming it unless it is positive and finite
+    (also for NaN).  A result beyond the float range counts as inf, whether
+    the arithmetic rounds to inf or raises."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):  # x ** n overflowed; a divisor underflowed
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def default_turbine_params() -> TurbineParams:
@@ -109,14 +121,14 @@ def phi(params: TurbineParams, curve: CpCurve, omega_r: float, u: float) -> floa
     Raises :class:`EnvelopeError` if the implied tip-speed ratio leaves
     the curve envelope; no extrapolation.
     """
-    if not (u > 0 and omega_r >= params.omega_r_min):
-        if u <= 0:
-            raise _wind_error(u)
-        if omega_r < params.omega_r_min:
-            raise _rotor_speed_error(params, omega_r)
+    if u <= 0:
+        raise _wind_error(u)
+    if omega_r < params.omega_r_min:
+        raise _rotor_speed_error(params, omega_r)
     lam = omega_r * params.rotor_radius / u
     if not curve.lambda_min <= lam <= curve.lambda_max:  # also refuses NaN
-        curve._check_envelope(lam)
+        raise EnvelopeError(f"tip-speed ratio {float(lam)} outside "
+                            f"[{curve.lambda_min}, {curve.lambda_max}]")
     return params.phi_coefficient * u ** 3 / omega_r * curve._cp_scalar(lam)
 
 
@@ -146,10 +158,11 @@ def phi_clamped(params: TurbineParams, curve: CpCurve,
 
 
 def optimal_torque_gain(params: TurbineParams, curve: CpCurve) -> float:
-    """Gain that makes the quadratic law track the peak tip-speed ratio."""
-    return (params.rho * params.swept_area * params.rotor_radius ** 3
-            * curve.cp_star
-            / (2.0 * params.gear_ratio ** 3 * curve.lambda_star ** 3))
+    """Gain that makes the quadratic law track the peak tip-speed ratio;
+    ConfigError unless it is positive and finite."""
+    return _in_range("optimal torque gain", lambda: (
+        params.rho * params.swept_area * params.rotor_radius ** 3 * curve.cp_star
+        / (2.0 * params.gear_ratio ** 3 * curve.lambda_star ** 3)))
 
 
 def steady_state_rotor_speed(params: TurbineParams, curve: CpCurve,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rews.cp_model import default_cp_curve, load_cp_curve
+from rews.exceptions import EnvelopeError
 from rews.turbine import default_turbine_params, phi_clamped
 
 
@@ -69,7 +70,9 @@ def cp_prime(curve, lam):
     """dC_p/dlambda at ``lam``: the derivative of the PCHIP piece that
     ``CpCurve._cp_scalar`` evaluates there.  Refuses ``lam`` outside the
     envelope."""
-    curve._check_envelope(lam)
+    if not curve.lambda_min <= lam <= curve.lambda_max:  # also refuses NaN
+        raise EnvelopeError(f"tip-speed ratio {float(lam)} outside "
+                            f"[{curve.lambda_min}, {curve.lambda_max}]")
     i = segment(curve, lam)
     t = lam - curve._breaks[i]
     c0, c1, c2, _ = curve._coeffs[i]

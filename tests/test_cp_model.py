@@ -41,11 +41,22 @@ def test_double_peak_rejected():
     ([2.0, 3.0, 3.0, 4.0], [0.1, 0.2, 0.25, 0.1], "increasing"),
     ([2.0, 3.0, 4.0, 5.0], [0.1, math.nan, 0.2, 0.1], "non-finite"),
     ([2.0, 3.0, 4.0, 5.0], [0.1, 0.2, 0.1], "equally long"),
-], ids=["double-peak", "too-few", "repeated-knot", "nan", "ragged"])
+    ([0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.1], "^tip-speed ratios must be positive$"),
+], ids=["double-peak", "too-few", "repeated-knot", "nan", "ragged", "zero-ratio"])
 def test_constructor_validates_the_table(lam, cp, message):
     # Building the curve directly runs the same checks as load_cp_curve.
     with pytest.raises(CurveError, match=message):
         CpCurve(np.asarray(lam), np.asarray(cp))
+
+
+@pytest.mark.parametrize("pairs", [
+    [2.0, 3.0, 4.0, 5.0],
+    [(2.0, 0.1, 1.0), (3.0, 0.2, 1.0), (4.0, 0.3, 1.0), (5.0, 0.1, 1.0)],
+    [],
+], ids=["flat", "triples", "empty"])
+def test_load_refuses_what_is_not_pairs(pairs):
+    with pytest.raises(CurveError, match=r"^expected a sequence of \(lambda, cp\) pairs$"):
+        load_cp_curve(pairs)
 
 
 def test_dip_in_a_dense_table_rejected():
@@ -148,11 +159,7 @@ def test_cp_scalar_picks_the_clamped_segment(which, request):
 
 
 def test_cp_rejects_out_of_envelope(curve):
-    # The envelope check that turbine.phi runs before it evaluates C_p.
-    with pytest.raises(EnvelopeError):
-        curve._check_envelope(curve.lambda_min - 0.01)
-    with pytest.raises(EnvelopeError):
-        curve._check_envelope(curve.lambda_max + 0.01)
+    # turbine.phi's own refusal at both edges is in test_phi_envelope_errors.
     with pytest.raises(EnvelopeError):
         cp_prime(curve, 1.0)
     with pytest.raises(EnvelopeError):

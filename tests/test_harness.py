@@ -1107,11 +1107,15 @@ class TestCli:
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({"wind_profile": [[0.0, 7.0]], "duration": 1.0,
                                    "estimator": {"family": "pi", "gamma": 40.0}}))
-        rc = cli_main(["simulate", "--scenario", str(scn), "--k1", "nan",
-                       "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: need 0 < k1 <= k2 < inf")
-        assert not (tmp_path / "o").exists()
+        # The slopes are checked before the scenario file is read, as the
+        # stability and margins commands check them before any gain.
+        for path in (scn, tmp_path / "missing.json"):
+            rc = cli_main(["simulate", "--scenario", str(path), "--k1", "nan",
+                           "--out", str(tmp_path / "o")])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                "error: need 0 < k1 <= k2 < inf, got k1=nan, k2=0.095\n")
+            assert not (tmp_path / "o").exists()
 
 
 def test_runtime_imports_no_scipy():

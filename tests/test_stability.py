@@ -143,6 +143,18 @@ class TestVerdicts:
         with pytest.raises(GridCoverageError):
             distance_criterion(fr, circle)
 
+    def test_low_frequency_edge_minimum_widens_the_grid(self):
+        # A tiny proportional gain with a long delay: on the default grid
+        # [1e-3, 1e3] the distance is least at its first point, so certify
+        # widens once, to 5,000 points on [1e-4, 1e4], and finds the
+        # minimum inside.
+        verdict = certify(1e-9, 0.0, 10.0, case_study_circle())
+        grid = verdict.locus.omega_grid
+        assert (grid.size, grid[0], grid[-1]) == (5000, 1e-4, 1e4)
+        assert verdict.certified
+        assert verdict.argmin_omega == pytest.approx(4.68e-4, rel=1e-3)
+        assert verdict.argmin_omega < stability.default_omega_grid()[0]
+
     def test_grid_refinement_stability(self):
         # Doubling the frequency resolution moves the reported minimum
         # distance by less than 0.1%.

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from rews.cli import main as cli_main
 from rews.exceptions import ConfigError, EnvelopeError
 from rews.harness import (make_step_wind_scenario, run_scenario,
                           scenario_from_json)
@@ -92,6 +94,43 @@ class TestParams:
             with pytest.raises(ConfigError, match=f"^{message}$"):
                 scenario_from_json(dict(spec, turbine=turbine))
 
+    @pytest.mark.parametrize("change, source, message", [
+        ({"gear_ratio": 1e-170}, "inline", "inertia_equivalent must be positive "
+         "and finite, got inf"),  # J_r / N**2 divided by an N**2 of 0
+        ({"gear_ratio": 1e-108}, "file", "optimal torque gain must be positive "
+         "and finite, got inf"),  # divided by an N**3 of 0
+        ({"gear_ratio": 1e-105}, "inline", "optimal torque gain must be positive "
+         "and finite, got inf"),  # named before the scenario's gain check
+        ({"rotor_radius": 1e200}, "inline", "swept_area must be positive and "
+         "finite, got inf"),  # R**2 raises OverflowError
+        ({"rho": 1e308, "rotor_radius": 1e10}, "file", "phi_coefficient must "
+         "be positive and finite, got inf"),
+        ({"rho": 1e-300, "inertia_generator": 1e300}, "inline", "phi_coefficient "
+         "must be positive and finite, got 0.0"),  # no aerodynamic torque at all
+    ], ids=["inertia-inf", "gain-zero-divisor", "gain-inf", "area-overflow",
+            "phi-inf", "phi-zero"])
+    def test_derived_quantities_out_of_range_refused(self, tmp_path, capsys,
+                                                     change, source, message):
+        turbine = {"rho": 1.225, "rotor_radius": 63.0, "gear_ratio": 97.0,
+                   "inertia_generator": 534.116, "inertia_rotor": 3.8759228e7,
+                   **change}
+        if not message.startswith("optimal"):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                TurbineParams(**turbine)
+        if source == "file":
+            path = tmp_path / "turbine.txt"
+            path.write_text("".join(f"{k} = {v!r}\n" for k, v in turbine.items()))
+            turbine = str(path)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "wind_profile": [[0.0, 7.0]], "duration": 1.0, "turbine": turbine,
+            "estimator": {"family": "pi", "gamma": 40.0}}))
+        out = tmp_path / "out"
+        assert cli_main(["simulate", "--scenario", str(scenario),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_params_file_round_trip(self, tmp_path, params):
         path = tmp_path / "turbine.txt"
         path.write_text(
@@ -177,7 +216,10 @@ class TestPhi:
                 (1.0, math.nan, "tip-speed ratio nan outside [2.0, 10.0]"),
                 (math.nan, 8.0, "tip-speed ratio nan outside [2.0, 10.0]"),
                 (1.0, 1.0, "tip-speed ratio 63.0 outside [2.0, 10.0]"),  # way out
-                (1.0, math.inf, "tip-speed ratio 0.0 outside [2.0, 10.0]")]:
+                (1.0, math.inf, "tip-speed ratio 0.0 outside [2.0, 10.0]"),
+                # One hundredth beyond each edge of the envelope.
+                (1.99, 63.0, "tip-speed ratio 1.99 outside [2.0, 10.0]"),
+                (10.01, 63.0, "tip-speed ratio 10.01 outside [2.0, 10.0]")]:
             assert _envelope_message(phi, params, curve, omega_r, u) == message
 
     def test_phi_clamped_matches_inside(self, params, curve):
