@@ -203,7 +203,8 @@ def run_shared_plant(scenarios) -> list:
     its estimate exceeds the divergence guard or goes non-finite; the
     plant stops with the last live estimator, so an
     :class:`EnvelopeError` from the plant propagates only while some
-    estimator is still running.  One trace is returned per scenario, in
+    estimator is still running.  An aerodynamic torque beyond the float
+    range, in the plant or in an estimator, is an EnvelopeError too.  One trace is returned per scenario, in
     order, and each equals its solo :func:`run_scenario` bit for bit.
     The traces of one call share their ``t``, ``u_true``, ``omega_r``
     and ``t_g`` arrays, and equal scenarios share all of theirs, so every
@@ -243,24 +244,28 @@ def run_shared_plant(scenarios) -> list:
     stops = {}   # scenario -> step of its guard trip
     live = list(runs.items())
 
-    for k in range(n + 1):
-        gw = gear * w
-        tg = k_gain * (gw * gw)  # x * x: pow() is not correctly rounded
-        omega[k] = w
-        t_g[k] = tg
-        for scn, (config, state, omega_hat, u_hat, clamps) in live:
-            omega_hat[k] = state.omega_hat_r
-            uh = step_estimator(params, curve, state, w, tg, config)
-            u_hat[k] = uh
-            clamps[k] = state.clamp_count
-            if not -DIVERGENCE_GUARD <= uh <= DIVERGENCE_GUARD:  # also NaN
-                stops[scn] = k
-        if len(live) + len(stops) > len(runs):  # an estimator tripped this step
-            live = [run for run in live if run[0] not in stops]
-            if not live:
-                break
-        if k < n:
-            w = rk4_plant_step(params, curve, w, tg, u_step[k], dt)
+    try:
+        for k in range(n + 1):
+            gw = gear * w
+            tg = k_gain * (gw * gw)  # x * x: pow() is not correctly rounded
+            omega[k] = w
+            t_g[k] = tg
+            for scn, (config, state, omega_hat, u_hat, clamps) in live:
+                omega_hat[k] = state.omega_hat_r
+                uh = step_estimator(params, curve, state, w, tg, config)
+                u_hat[k] = uh
+                clamps[k] = state.clamp_count
+                if not -DIVERGENCE_GUARD <= uh <= DIVERGENCE_GUARD:  # also NaN
+                    stops[scn] = k
+            if len(live) + len(stops) > len(runs):  # an estimator tripped this step
+                live = [run for run in live if run[0] not in stops]
+                if not live:
+                    break
+            if k < n:
+                w = rk4_plant_step(params, curve, w, tg, u_step[k], dt)
+    except OverflowError as exc:  # u ** 3 in phi or phi_clamped
+        raise EnvelopeError(f"aerodynamic torque overflows at t = {k * dt} s, "
+                            f"rotor speed {w} rad/s") from exc
 
     for arr in (times, u_arr, omega, t_g):
         arr.flags.writeable = False
@@ -327,14 +332,13 @@ def case_study_circle() -> CircleSpec:
 def make_step_wind_scenario(gamma: float, beta: float, delay_T: float,
                             family: Family = Family.PI,
                             wind_profile=None,
-                            duration: float = _STEP_DURATION,
-                            dt: float = _DEFAULT_DT) -> Scenario:
+                            duration: float = _STEP_DURATION) -> Scenario:
     """Stepwise-wind scenario with fixture defaults (5/7/9 m/s levels): the
-    :func:`scenario_from_json` spec with every other field at its default."""
+    :func:`scenario_from_json` spec with every other field, ``dt`` included,
+    at its default."""
     return scenario_from_json({
         "wind_profile": wind_profile or _STEP_WIND,
         "duration": duration,
-        "dt": dt,
         "estimator": {"family": Family(family).value, "gamma": gamma,
                       "beta": beta, "delay": delay_T},
     })

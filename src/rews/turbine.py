@@ -178,12 +178,14 @@ def steady_state_rotor_speed(params: TurbineParams, curve: CpCurve,
     and the balance is unique (this is the attracting equilibrium; a
     second, repelling balance can exist at low tip-speed ratio).  Returns
     ``lambda u / R``, which may lie below ``params.omega_r_min``: the
-    caller checks the bound.
+    caller checks the bound.  ConfigError unless ``rho A R^3`` is positive
+    and finite (a tiny radius underflows it to 0).
     """
     if not u > 0:  # also refuses NaN
         raise _wind_error(u)
-    ratio = (2.0 * k_opt * params.gear_ratio ** 3
-             / (params.rho * params.swept_area * params.rotor_radius ** 3))
+    divisor = _in_range("rho A R^3", lambda: (
+        params.rho * params.swept_area * params.rotor_radius ** 3))
+    ratio = 2.0 * k_opt * params.gear_ratio ** 3 / divisor
     return curve.balance_tip_speed_ratio(ratio) * u / params.rotor_radius
 
 

@@ -29,11 +29,13 @@ from rews.cp_model import load_cp_curve
 from conftest import assert_m4
 
 
-def _scenario(**overrides):
-    kwargs = dict(gamma=40.0, beta=10.0, delay_T=0.0,
-                  wind_profile=[(0.0, 7.0)], duration=30.0)
-    kwargs.update(overrides)
-    return make_step_wind_scenario(**kwargs)
+def _scenario(gamma=40.0, beta=10.0, delay_T=0.0, family=Family.PI,
+              wind_profile=((0.0, 7.0),), duration=30.0, dt=0.01):
+    """A scenario built from its JSON spec, every other field at its default."""
+    return scenario_from_json({
+        "wind_profile": wind_profile, "duration": duration, "dt": dt,
+        "estimator": {"family": Family(family).value, "gamma": gamma,
+                      "beta": beta, "delay": delay_T}})
 
 
 def _verdict(trace):
@@ -144,8 +146,8 @@ class TestTimeGrid:
     # At dt = 0.03, step 620 sits at t = 18.599999999999998, just below the
     # 18.6 s wind start; plant and classifier both go by the step index.
     def _trace(self):
-        return run_scenario(make_step_wind_scenario(
-            40, 10, 0, wind_profile=[(0, 7), (18.6, 8)], duration=30, dt=0.03))
+        return run_scenario(_scenario(
+            wind_profile=[(0, 7), (18.6, 8)], duration=30, dt=0.03))
 
     def test_wind_switches_at_the_start_step(self):
         trace = self._trace()
@@ -221,11 +223,13 @@ class TestRunScenario:
     def test_internal_state_family_runs_the_proportional_observer(self):
         # I&I runs the proportional observer, so with equal gains its
         # trace is the P trace, observer columns included.
-        iandi, p = (run_scenario(_scenario(family=family, beta=0.0, delay_T=0.3))
-                    for family in (Family.IANDI, Family.EQUIV_P))
-        for name in _TRACE_COLUMNS:
-            assert np.array_equal(getattr(iandi, name), getattr(p, name)), name
-            assert np.all(np.isfinite(getattr(iandi, name))), name
+        for delay in (0.0, 0.3):
+            iandi, p = (run_scenario(_scenario(family=family, beta=0.0,
+                                               delay_T=delay))
+                        for family in (Family.IANDI, Family.EQUIV_P))
+            for name in _TRACE_COLUMNS:
+                assert np.array_equal(getattr(iandi, name), getattr(p, name)), name
+                assert np.all(np.isfinite(getattr(iandi, name))), name
 
 
 # An 11 -> 4 m/s step at t = 100 s throws the plant out of the C_p
@@ -250,6 +254,8 @@ class TestSharedPlant:
             for name in _TRACE_COLUMNS:
                 assert np.array_equal(getattr(together, name),
                                       getattr(solo, name)), name
+            for name in ("omega_hat_r", "eps"):
+                assert np.all(np.isfinite(getattr(together, name))), name
 
     def test_step_loop_runs_on_python_floats(self, monkeypatch):
         # numpy scalars give the same bits several times slower.
@@ -563,6 +569,8 @@ class TestScenarioFromJson:
         assert steady.initial_omega_r == omega0
         # None asks the constructor for the same balance.
         assert dataclasses.replace(steady, initial_omega_r=None) == steady
+        # Off the C_p peak the estimate still settles on the true wind.
+        assert classify_trace(run_scenario(steady)) == "converged"
 
     def test_explicit_initial_conditions(self):
         scn = scenario_from_json({
@@ -584,10 +592,9 @@ class TestScenarioFromJson:
     def test_step_wind_scenario_is_the_spec_with_defaults(self, family, beta):
         profile = [(0.0, 6.0), (12.0, 8.5)]
         built = make_step_wind_scenario(40.0, beta, 0.3, family=family,
-                                        wind_profile=profile, duration=24.0,
-                                        dt=0.02)
+                                        wind_profile=profile, duration=24.0)
         spec = {"wind_profile": [list(seg) for seg in profile],
-                "duration": 24.0, "dt": 0.02, "turbine": "default",
+                "duration": 24.0, "dt": 0.01, "turbine": "default",
                 "cp_curve": "default", "controller_gain": "optimal",
                 "estimator": {"family": family.value, "gamma": 40.0,
                               "beta": beta, "delay": 0.3},
@@ -695,11 +702,24 @@ class TestEmitOutputs:
         circle = json.loads((tmp_path / "report.json").read_text())["circle"]
         assert circle == report["circle"] == case_study_circle().as_dict()
         assert list(circle) == ["k1", "k2", "C", "R", "alpha"]
+        assert [row["name"] for row in report["cases"]] == [
+            name for name, *_ in CASE_STUDIES]
+        assert [row["name"] for row in report["gain_comparison"]] == [
+            "pi_gamma80", "iandi_gamma80"]
         verdicts = sorted(tmp_path.glob("*/verdict.json"))
         assert len(verdicts) == 8
         for path in verdicts:
             record = json.loads(path.read_text())
             assert {key: record[key] for key in circle} == circle, path
+            # Every case's locus is judged on the default 4,000-point grid.
+            rows = (path.parent / "nyquist.csv").read_bytes().count(b"\n")
+            assert rows == 4001, path.parent.name
+        # Case 1's certificate is the one `rews stability` writes for its gains.
+        assert cli_main(["stability", "--gamma", "40", "--beta", "10", "--delay",
+                         "0.3", "--out", str(tmp_path / "stability")]) == 0
+        for name in ("nyquist.csv", "verdict.json", "nyquist.svg"):
+            assert ((tmp_path / "stability" / name).read_bytes()
+                    == (tmp_path / "case1" / name).read_bytes()), name
 
     def test_case_studies_certify_each_case_once(self, tmp_path, monkeypatch):
         calls = {}
@@ -759,6 +779,14 @@ class TestEmitOutputs:
             rows = (path.parent / "nyquist.csv").read_text().count("\n") - 1
             (locus,) = points.findall(path.read_text())
             assert len(locus.split()) == rows, path
+        # Case 4 has case 1's configuration, so it has case 1's files.
+        for name in ("trace.csv", "timeseries.svg", "rotor_speed.svg",
+                     "nyquist.csv", "verdict.json", "nyquist.svg"):
+            assert ((tmp_path / "m4" / "case4" / name).read_bytes()
+                    == (tmp_path / "m4" / "case1" / name).read_bytes()), name
+        size = sum(p.stat().st_size for p in (tmp_path / "m4").rglob("*")
+                   if p.is_file())
+        assert size < 45_000_000, size
 
     def test_each_command_writes_its_csv_files_in_one_call(self, tmp_path,
                                                            monkeypatch):
@@ -824,7 +852,9 @@ class TestCli:
         rc = cli_main(["simulate", "--scenario", str(scn_path),
                        "--out", str(out)])
         assert rc == 0
-        assert (out / "trace.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "nyquist.csv", "nyquist.svg", "rotor_speed.svg", "timeseries.svg",
+            "trace.csv", "verdict.json"]
         assert "ConvergenceCertified" in capsys.readouterr().out
 
     def test_simulate_certifies_once(self, tmp_path, capsys, monkeypatch):
@@ -875,9 +905,21 @@ class TestCli:
          "delay 10.0 is not shorter than the duration 10.0"),
         ({"estimator": {"family": "pi", "gamma": 40.0, "delay": 100.0}},
          "delay 100.0 is not shorter than the duration 10.0"),
+        # A gain far above the optimal one balances nowhere in the envelope.
+        ({"controller_gain": 100.0},
+         "no stable torque balance inside the tip-speed-ratio envelope"),
+        # phi's u ** 3 leaves the float range.  At a 1e103 m/s wind the
+        # estimator's feedback is clamped to the envelope edge of the steady
+        # start, 7.5e102 m/s (a 1e102 m/s wind runs); a 1e300 rad/s start
+        # puts that edge further out.
+        ({"wind_profile": [[0.0, 1e103]]}, "aerodynamic torque overflows at "
+         "t = 0.0 s, rotor speed 1.1904761904761907e+102 rad/s"),
+        ({"initial": {"omega_r": 1e300}}, "aerodynamic torque overflows at "
+         "t = 0.0 s, rotor speed 1e+300 rad/s"),
     ], ids=["nan", "inf", "gamma-inf", "gain-negative", "gain-zero", "gain-nan",
             "wind-empty", "wind-nan", "wind-negative", "wind-negative-numeric",
-            "wind-low", "delay-equal", "delay-longer"])
+            "wind-low", "delay-equal", "delay-longer", "gain-100",
+            "wind-overflow", "start-overflow"])
     def test_non_finite_scenario_is_a_clean_error(self, tmp_path, capsys,
                                                   recwarn, change, message):
         spec = {"wind_profile": [[0.0, 7.0]], "duration": 10.0,
@@ -986,6 +1028,7 @@ class TestCli:
                        "--out", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["margins", "--gamma", "0", "--beta", "0"], "gamma must be"),
@@ -1057,12 +1100,19 @@ class TestCli:
     @pytest.mark.parametrize("field, text, message", [
         ("cp_curve", "lambda,cp\n2.0,0.1\n4.0,abc\n6.0,0.3\n",
          "line 3 has a field that is not a number: '4.0,abc'"),
+        ("cp_curve", "lambda,cp\n2.0,0.1\n4.0\n6.0,0.3\n",
+         "line 3 has fewer than two fields: '4.0'"),
         ("turbine", "rho = 1.225\nrotor_radius = sixty\n",
          "line 2: rotor_radius is not a number: 'sixty'"),
         ("turbine", "rho = 1.225\nrotor_radius = 63\ngear_ratio = 97\n"
                     "inertia_generator = 534.116\ninertia_rotor = 3.8759228e7\n"
                     "rho = 2\n", "line 6 repeats 'rho'"),
-    ], ids=["curve-not-a-number", "params-not-a-number", "params-repeated-key"])
+        ("turbine", "rho = 1.225\nrotor_radius 63\n",
+         "line 2 is not 'key = value': 'rotor_radius 63'"),
+        ("turbine", "rho = 1.225\n", "missing parameter(s) ['rotor_radius', "
+         "'gear_ratio', 'inertia_generator', 'inertia_rotor']"),
+    ], ids=["curve-not-a-number", "curve-short-row", "params-not-a-number",
+            "params-repeated-key", "params-no-equals", "params-missing-keys"])
     def test_bad_model_file_names_its_line(self, tmp_path, capsys,
                                            field, text, message):
         model = tmp_path / "model.txt"

@@ -107,14 +107,18 @@ class TestParams:
          "be positive and finite, got inf"),
         ({"rho": 1e-300, "inertia_generator": 1e300}, "inline", "phi_coefficient "
          "must be positive and finite, got 0.0"),  # no aerodynamic torque at all
+        # A numeric gain is not checked like the optimal one, and the steady
+        # start divides by rho A R^3, which underflows to 0.
+        ({"rotor_radius": 1e-100}, "inline, gain 1.0", "rho A R^3 must be "
+         "positive and finite, got 0.0"),
     ], ids=["inertia-inf", "gain-zero-divisor", "gain-inf", "area-overflow",
-            "phi-inf", "phi-zero"])
+            "phi-inf", "phi-zero", "balance-divisor-zero"])
     def test_derived_quantities_out_of_range_refused(self, tmp_path, capsys,
                                                      change, source, message):
         turbine = {"rho": 1.225, "rotor_radius": 63.0, "gear_ratio": 97.0,
                    "inertia_generator": 534.116, "inertia_rotor": 3.8759228e7,
                    **change}
-        if not message.startswith("optimal"):
+        if not message.startswith(("optimal", "rho A R^3")):
             with pytest.raises(ConfigError, match=f"^{message}$"):
                 TurbineParams(**turbine)
         if source == "file":
@@ -124,6 +128,7 @@ class TestParams:
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({
             "wind_profile": [[0.0, 7.0]], "duration": 1.0, "turbine": turbine,
+            "controller_gain": 1.0 if source.endswith("gain 1.0") else "optimal",
             "estimator": {"family": "pi", "gamma": 40.0}}))
         out = tmp_path / "out"
         assert cli_main(["simulate", "--scenario", str(scenario),
@@ -375,8 +380,8 @@ class TestStepPlant:
         with pytest.raises(ConfigError, match="dt must be positive"):
             dataclasses.replace(scn, dt=0.0)
         with pytest.raises(ConfigError, match="dt must be positive"):
-            make_step_wind_scenario(40.0, 10.0, 0.0, duration=20.0, dt=0.0,
-                                    wind_profile=[(0.0, 7.0)])
+            scenario_from_json({"wind_profile": [[0.0, 7.0]], "duration": 20.0,
+                                "dt": 0.0, "estimator": {"gamma": 40.0}})
 
     def test_integration_order_at_least_four(self, params, curve):
         # Step-halving (Richardson) estimate of the local order inside a
