@@ -14,4 +14,4 @@ class ConfigError(ValueError):
 
 
 class GridCoverageError(RuntimeError):
-    """Raised when a frequency grid is too narrow to locate the minimum."""
+    """Raised when a grid's end values cannot prove the locus off the disk past it."""

@@ -106,10 +106,14 @@ class Scenario:
             raise ConfigError("wind speeds must be positive and finite")
         if not (0 < self.duration < math.inf and 0 < self.dt < math.inf):
             raise ConfigError("duration and dt must be positive and finite")
+        n = self.n_steps()
+        if n >= np.iinfo(np.intp).max // 8:  # the n + 1 doubles of a trace column
+            raise ConfigError(f"duration {self.duration} at dt {self.dt} is "
+                              f"{n:.4g} steps, more than an array can hold")
         starts = self.wind_steps()
         if not all(a < b for a, b in zip(starts, starts[1:])):
             raise ConfigError("wind segments must be strictly time-ordered")
-        if starts[-1] >= self.n_steps():
+        if starts[-1] >= n:
             raise ConfigError("last wind segment starts after the run ends")
         delay = self.estimator.delay_T
         _grid_steps(delay, self.dt, "delay")

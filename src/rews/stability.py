@@ -5,11 +5,15 @@ The loop is a Lur'e interconnection: the linear correction dynamics
 the sector-bounded torque nonlinearity.  Convergence is certified when
 the Nyquist locus of G stays outside the disk whose real-axis diameter
 runs from -1/k1 to -1/k2; numerically this is checked as a minimum
-distance from the disk center exceeding its radius.  The sector slopes
-k1, k2 are inputs (``harness`` holds the fixed case-study pair); the
-module does not derive them from the turbine model.  The criterion is
-sufficient only: a refusal does not prove divergence.  The module is pure
-analysis and does no file I/O; ``harness`` writes its artifacts.
+distance from the disk center exceeding its radius on one fixed grid.
+Past its ends the disk's moduli ``[1/k2, 1/k1]`` and the strictly falling
+``|G(jw)|^2 = gamma^2/w^2 + beta^2/w^4`` prove the locus outside the disk
+when ``|G| > 1/k1`` at the first point and ``|G| < 1/k2`` at the last.
+The sector slopes k1, k2 are inputs (``harness`` holds the fixed
+case-study pair); the module does not derive them from the turbine model.
+The criterion is sufficient only: a refusal does not prove divergence.
+The module is pure analysis and does no file I/O; ``harness`` writes its
+artifacts.
 
 Margins are first crossings, in closed form on the default grid: the
 largest ``m`` with all of ``[0, m]`` certified.  They raise ConfigError when 0
@@ -37,11 +41,6 @@ __all__ = [
     "max_stable_beta",
     "max_stable_delay",
 ]
-
-_GRID_LO = 1e-3
-_GRID_HI = 1e3
-_GRID_N = 4000
-_MAX_WIDENINGS = 3
 
 
 @dataclass(frozen=True)
@@ -100,9 +99,10 @@ def circle_from_gains(k1: float, k2: float) -> CircleSpec:
     return CircleSpec(k1, k2)
 
 
-def default_omega_grid(lo: float = _GRID_LO, hi: float = _GRID_HI,
-                       n: int = _GRID_N) -> np.ndarray:
-    return np.logspace(np.log10(lo), np.log10(hi), n)
+def default_omega_grid() -> np.ndarray:
+    """The one grid every certificate is judged on: 4,000 log-spaced
+    frequencies on ``[1e-3, 1e3]`` rad/s."""
+    return np.logspace(-3.0, 3.0, 4000)
 
 
 def frequency_response(gamma: float, beta: float, delay_T: float,
@@ -134,19 +134,22 @@ def distance_criterion(fr: FrequencyResponse,
                        circle: CircleSpec) -> DistanceVerdict:
     """Minimum distance of the locus from the disk center versus its radius.
 
-    Raises :class:`GridCoverageError` when the minimum sits on a grid
-    endpoint, unless the locus has already collapsed to the origin at
-    the high-frequency end (there the distance limit is |C| > R and the
-    grid value is a faithful stand-in for the infimum).
+    Raises :class:`GridCoverageError` naming the grid end whose ``|G|``
+    does not prove the tail beyond it outside the disk (module docstring).
     """
+    g_low, g_high = np.abs(fr.g_values[[0, -1]]).tolist()
+    if not g_low > 1.0 / circle.k1:
+        raise GridCoverageError(
+            "frequency grid cannot prove the locus outside the disk below "
+            f"{float(fr.omega_grid[0])!r} rad/s: |G| = {g_low!r} there, "
+            f"not above 1/k1 = {1.0 / circle.k1!r}")
+    if not g_high < 1.0 / circle.k2:
+        raise GridCoverageError(
+            "frequency grid cannot prove the locus outside the disk above "
+            f"{float(fr.omega_grid[-1])!r} rad/s: |G| = {g_high!r} there, "
+            f"not below 1/k2 = {1.0 / circle.k2!r}")
     dist = np.abs(fr.g_values - circle.center)
     i = int(np.argmin(dist))
-    if i == 0:
-        raise GridCoverageError("distance minimum at the low-frequency grid edge")
-    if i == dist.size - 1:
-        tail = np.abs(fr.g_values[-1])
-        if tail > 1e-3 * abs(circle.center):
-            raise GridCoverageError("distance minimum at the high-frequency grid edge")
     return DistanceVerdict(
         certified=bool(dist[i] > circle.radius),
         min_distance=float(dist[i]),
@@ -158,19 +161,11 @@ def distance_criterion(fr: FrequencyResponse,
 
 def certify(gamma: float, beta: float, delay_T: float,
             circle: CircleSpec) -> DistanceVerdict:
-    """Distance criterion with automatic grid widening on edge minima.  Gains
-    no estimator can have raise ConfigError (rules of ``check_gains``)."""
+    """Distance criterion on the default grid.  Gains no estimator can have
+    raise ConfigError (rules of ``check_gains``)."""
     check_gains(gamma, beta, delay_T)
-    lo, hi, n = _GRID_LO, _GRID_HI, _GRID_N
-    for _ in range(_MAX_WIDENINGS + 1):
-        fr = frequency_response(gamma, beta, delay_T,
-                                default_omega_grid(lo, hi, n))
-        try:
-            return distance_criterion(fr, circle)
-        except GridCoverageError:
-            lo, hi, n = lo / 10.0, hi * 10.0, n + 1000
-    raise GridCoverageError(
-        "distance minimum still at a grid edge after maximum widening")
+    return distance_criterion(
+        frequency_response(gamma, beta, delay_T, default_omega_grid()), circle)
 
 
 def _first_crossing(entry, predicate, what: str) -> float:

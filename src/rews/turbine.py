@@ -178,14 +178,15 @@ def steady_state_rotor_speed(params: TurbineParams, curve: CpCurve,
     and the balance is unique (this is the attracting equilibrium; a
     second, repelling balance can exist at low tip-speed ratio).  Returns
     ``lambda u / R``, which may lie below ``params.omega_r_min``: the
-    caller checks the bound.  ConfigError unless ``rho A R^3`` is positive
-    and finite (a tiny radius underflows it to 0).
+    caller checks the bound.  ConfigError unless ``rho A R^3`` (a tiny
+    radius underflows it to 0) and the ratio are positive and finite.
     """
     if not u > 0:  # also refuses NaN
         raise _wind_error(u)
     divisor = _in_range("rho A R^3", lambda: (
         params.rho * params.swept_area * params.rotor_radius ** 3))
-    ratio = 2.0 * k_opt * params.gear_ratio ** 3 / divisor
+    ratio = _in_range("2 K N^3 / (rho A R^3)", lambda: (
+        2.0 * k_opt * params.gear_ratio ** 3 / divisor))
     return curve.balance_tip_speed_ratio(ratio) * u / params.rotor_radius
 
 

@@ -398,20 +398,27 @@ class TestConcordance:
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "ROADMAP items 1 and 2: the certificate checks neither encirclement "
-        "nor the sampled loop, so these are certified and trip the guard"))
+        "nor the sampled loop, so these are certified and diverge"))
     def test_known_unsound_certificates(self):
-        # Certified against the case-study disk, yet on a 5 -> 7 m/s step
-        # they trip the divergence guard at 51.12, 85.66, 85.84 and 152.37 s.
+        # Certified against the case-study disk, yet on a 5 -> 7 m/s step the
+        # PI loops trip the divergence guard at 51.12, 85.66 and 85.84 s, and
+        # on a 9 -> 11 m/s step the P loop at gamma = 10000 diverges without
+        # tripping it.
         circle = case_study_circle()
-        configs = [(23.0, 134.0, 1.0, Family.PI), (38.3, 48.4, 1.57, Family.PI),
-                   (30.2, 50.3, 1.07, Family.PI), (30000.0, 0.0, 0.0, Family.EQUIV_P)]
-        traces = run_shared_plant(make_step_wind_scenario(
-            gamma, beta, delay, family=family,
-            wind_profile=[(0.0, 5.0), (150.0, 7.0)], duration=180.0)
-            for gamma, beta, delay, family in configs)
-        for (gamma, beta, delay, _), trace in zip(configs, traces):
-            if certify(gamma, beta, delay, circle).certified:
-                assert not trace.stopped_early, (gamma, beta, delay, trace.stop_time)
+        step_5_7 = {"wind_profile": [(0.0, 5.0), (150.0, 7.0)], "duration": 180.0}
+        step_9_11 = {"wind_profile": [(0.0, 9.0), (60.0, 11.0)], "duration": 120.0}
+        configs = [(23.0, 134.0, 1.0, Family.PI, step_5_7),
+                   (38.3, 48.4, 1.57, Family.PI, step_5_7),
+                   (30.2, 50.3, 1.07, Family.PI, step_5_7),
+                   (10000.0, 0.0, 0.0, Family.EQUIV_P, step_9_11)]
+        # Every configuration is judged before the assert, so each one keeps
+        # the test failing until the certificate refuses it.
+        unsound = [(gamma, beta, delay)
+                   for gamma, beta, delay, family, wind in configs
+                   if certify(gamma, beta, delay, circle).certified
+                   and classify_trace(run_scenario(make_step_wind_scenario(
+                       gamma, beta, delay, family=family, **wind))) != "converged"]
+        assert not unsound, unsound
 
     def test_randomized_configs(self):
         circle = case_study_circle()
@@ -916,10 +923,14 @@ class TestCli:
          "t = 0.0 s, rotor speed 1.1904761904761907e+102 rad/s"),
         ({"initial": {"omega_r": 1e300}}, "aerodynamic torque overflows at "
          "t = 0.0 s, rotor speed 1e+300 rad/s"),
+        # More steps than numpy can size an array for, refused before any
+        # allocation.
+        ({"duration": 1.0, "dt": 1e-300}, "duration 1.0 at dt 1e-300 is 1e+300 "
+         "steps, more than an array can hold"),
     ], ids=["nan", "inf", "gamma-inf", "gain-negative", "gain-zero", "gain-nan",
             "wind-empty", "wind-nan", "wind-negative", "wind-negative-numeric",
             "wind-low", "delay-equal", "delay-longer", "gain-100",
-            "wind-overflow", "start-overflow"])
+            "wind-overflow", "start-overflow", "dt-too-fine"])
     def test_non_finite_scenario_is_a_clean_error(self, tmp_path, capsys,
                                                   recwarn, change, message):
         spec = {"wind_profile": [[0.0, 7.0]], "duration": 10.0,
@@ -1035,8 +1046,10 @@ class TestCli:
         (["margins", "--gamma", "-5", "--delay", "0.3"], "gamma must be"),
         (["stability", "--gamma", "0"], "gamma must be"),
         (["stability", "--gamma", "40", "--delay", "-1"], "delay must be"),
-        # Valid gains whose locus never collapses inside the widest grid.
-        (["stability", "--gamma", "1e6"], "distance minimum"),
+        # Valid gains whose locus the grid's last point cannot prove outside.
+        (["stability", "--gamma", "1e6"], "frequency grid cannot prove the "
+         "locus outside the disk above 1000.0 rad/s: |G| = 1000.0 there, not "
+         "below 1/k2 = 10.526315789473685"),
         # Infinite values are named before any evaluation (which warned).
         (["stability", "--gamma", "inf", "--delay", "0.3"],
          "gamma must be positive and finite, got inf"),
@@ -1060,7 +1073,8 @@ class TestCli:
          "delay 1e+300 is too long"),
         (["stability", "--gamma", "40", "--delay", "1e13"],
          "delay 10000000000000.0 is too long"),
-        (["margins", "--gamma", "1e200", "--delay", "0.3"], "distance minimum"),
+        (["margins", "--gamma", "1e200", "--delay", "0.3"],
+         "frequency grid cannot prove the locus outside the disk above 1000.0"),
         # Non-finite sector slopes are named, not left to the grid search.
         (["stability", "--gamma", "40", "--beta", "10", "--delay", "0.3",
           "--k1", "nan"], "need 0 < k1 <= k2 < inf, got k1=nan, k2=0.095"),
@@ -1143,14 +1157,15 @@ class TestCli:
 
     def test_simulate_refuses_an_uncertifiable_locus_before_running(
             self, tmp_path, capsys):
-        # The locus of gamma = 1e6 never collapses inside the widest grid.
+        # The grid's last point cannot prove the locus of gamma = 1e6 outside.
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({"wind_profile": [[0.0, 7.0]], "duration": 1.0,
                                    "estimator": {"family": "p", "gamma": 1e6}}))
         rc = cli_main(["simulate", "--scenario", str(scn),
                        "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: distance minimum")
+        assert capsys.readouterr().err.startswith(
+            "error: frequency grid cannot prove the locus outside the disk above")
         assert not (tmp_path / "o").exists()
 
     def test_simulate_refuses_nan_slope_before_running(self, tmp_path, capsys):

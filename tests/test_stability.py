@@ -136,24 +136,59 @@ class TestVerdicts:
         with pytest.raises(ConfigError, match="beta"):
             max_stable_delay(40.0, -1.0, circle)
 
-    def test_edge_minimum_raises_without_widening(self):
+    def test_short_grid_cannot_prove_its_high_tail(self):
         circle = case_study_circle()
         grid = np.logspace(-3.0, -2.0, 100)  # locus still huge at both edges
         fr = frequency_response(40.0, 10.0, 0.3, grid)
-        with pytest.raises(GridCoverageError):
+        with pytest.raises(GridCoverageError, match="above 0.01 rad/s"):
             distance_criterion(fr, circle)
 
-    def test_low_frequency_edge_minimum_widens_the_grid(self):
-        # A tiny proportional gain with a long delay: on the default grid
-        # [1e-3, 1e3] the distance is least at its first point, so certify
-        # widens once, to 5,000 points on [1e-4, 1e4], and finds the
-        # minimum inside.
-        verdict = certify(1e-9, 0.0, 10.0, case_study_circle())
-        grid = verdict.locus.omega_grid
-        assert (grid.size, grid[0], grid[-1]) == (5000, 1e-4, 1e4)
-        assert verdict.certified
-        assert verdict.argmin_omega == pytest.approx(4.68e-4, rel=1e-3)
-        assert verdict.argmin_omega < stability.default_omega_grid()[0]
+    @pytest.mark.parametrize("gamma, beta, delay, message", [
+        # A tiny proportional gain: the locus is inside the disk's moduli
+        # already at the grid's first point.
+        (1e-9, 0.0, 10.0, "below 0.001 rad/s: |G| = 1.0000000000000002e-06 "
+         "there, not above 1/k1 = 62.5"),
+        # A huge one: the locus has not yet come inside 1/k2 at its last.
+        (1e6, 0.0, 0.0, "above 1000.0 rad/s: |G| = 1000.0 there, not below "
+         "1/k2 = 10.526315789473685"),
+    ], ids=["below-grid", "above-grid"])
+    def test_unproven_tail_is_refused_by_name(self, gamma, beta, delay, message):
+        with pytest.raises(GridCoverageError) as info:
+            certify(gamma, beta, delay, case_study_circle())
+        assert str(info.value) == ("frequency grid cannot prove the locus "
+                                   f"outside the disk {message}")
+
+    def test_judged_loci_stay_outside_the_disk_beyond_the_grid(self):
+        # The tail proof against the locus itself: for every draw certify
+        # judges, 1e5 frequencies below and above the grid miss the disk.
+        # The draws sit near each end's bound, where a looser rule lets the
+        # locus in: integral-dominated at the low end, proportional at the
+        # high end.
+        rng = np.random.default_rng(34)
+        w = np.concatenate([np.logspace(-9.0, -3.0, 50_000, endpoint=False),
+                            np.logspace(9.0, 3.0, 50_000, endpoint=False)])
+        inv_w, inv_w2 = 1.0 / w, 1.0 / (w * w)
+        ends, judged = [], 0
+        for k1, k2 in ((0.016, 0.095), (0.0009, 0.0331), (0.0057, 0.0294)):
+            circle = circle_from_gains(k1, k2)
+            for _ in range(20):
+                low = 10.0 ** rng.uniform(-6.0, -3.0), 10.0 ** rng.uniform(-6.5, -3.5)
+                high = 10.0 ** rng.uniform(3.0, 5.0), (
+                    0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-4.0, 3.0))
+                for gamma, beta in (low, high):
+                    delay = rng.uniform(0.0, 2.0)
+                    try:
+                        certify(gamma, beta, delay, circle)
+                    except GridCoverageError as exc:
+                        ends.append(str(exc).split()[9])  # "below" or "above"
+                        continue
+                    judged += 1
+                    # G(jw) = -(beta/w^2 + j gamma/w) (cos wT - j sin wT)
+                    re0, im0 = -beta * inv_w2, -gamma * inv_w
+                    cos, sin = np.cos(w * delay), np.sin(w * delay)
+                    re, im = re0 * cos + im0 * sin, im0 * cos - re0 * sin
+                    assert ((re - circle.center) ** 2 + im * im).min() > circle.radius ** 2
+        assert judged >= 40 and set(ends) == {"below", "above"}
 
     def test_grid_refinement_stability(self):
         # Doubling the frequency resolution moves the reported minimum
@@ -161,7 +196,7 @@ class TestVerdicts:
         circle = case_study_circle()
         coarse, fine = (
             distance_criterion(frequency_response(
-                40.0, 10.0, 0.3, default_omega_grid(n=n)), circle)
+                40.0, 10.0, 0.3, np.logspace(-3.0, 3.0, n)), circle)
             for n in (4000, 8000))
         assert abs(fine.min_distance - coarse.min_distance) <= 1e-3 * coarse.min_distance
 
@@ -278,13 +313,14 @@ class TestExports:
         assert np.array_equal(data[:, 3], np.abs(fr.g_values - circle.center))
 
     def test_nyquist_csv_is_the_judged_locus(self, tmp_path):
-        # With no delay the minimum sits at the high-frequency edge, so
-        # certify widens the grid; the CSV must show that wider grid.
+        # With no delay the distance is least at the grid's last point; the
+        # tail beyond it is proven, so the CSV is the default grid and holds
+        # the minimum.
         verdict = certify(40.0, 0.0, 0.0, case_study_circle())
         emit([(tmp_path, None, verdict)])
-        assert verdict.argmin_omega > default_omega_grid()[-1]
+        assert verdict.argmin_omega == default_omega_grid()[-1]
         data = np.loadtxt(tmp_path / "nyquist.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(data[:, 0], verdict.locus.omega_grid)
+        assert np.array_equal(data[:, 0], default_omega_grid())
         row = data[data[:, 0] == verdict.argmin_omega]
         assert row.shape == (1, 4)
         assert row[0, 3] == verdict.min_distance == data[:, 3].min()

@@ -111,14 +111,17 @@ class TestParams:
         # start divides by rho A R^3, which underflows to 0.
         ({"rotor_radius": 1e-100}, "inline, gain 1.0", "rho A R^3 must be "
          "positive and finite, got 0.0"),
+        # ... and multiplies the gain by N**3, which overflows.
+        ({"gear_ratio": 1e103}, "inline, gain 1.0", "2 K N^3 / (rho A R^3) must "
+         "be positive and finite, got inf"),
     ], ids=["inertia-inf", "gain-zero-divisor", "gain-inf", "area-overflow",
-            "phi-inf", "phi-zero", "balance-divisor-zero"])
+            "phi-inf", "phi-zero", "balance-divisor-zero", "balance-ratio-inf"])
     def test_derived_quantities_out_of_range_refused(self, tmp_path, capsys,
                                                      change, source, message):
         turbine = {"rho": 1.225, "rotor_radius": 63.0, "gear_ratio": 97.0,
                    "inertia_generator": 534.116, "inertia_rotor": 3.8759228e7,
                    **change}
-        if not message.startswith(("optimal", "rho A R^3")):
+        if not message.startswith(("optimal", "rho A R^3", "2 K N^3")):
             with pytest.raises(ConfigError, match=f"^{message}$"):
                 TurbineParams(**turbine)
         if source == "file":
