@@ -341,7 +341,7 @@ def make_step_wind_scenario(gamma: float, beta: float, delay_T: float,
     :func:`scenario_from_json` spec with every other field, ``dt`` included,
     at its default."""
     return scenario_from_json({
-        "wind_profile": wind_profile or _STEP_WIND,
+        "wind_profile": _STEP_WIND if wind_profile is None else wind_profile,
         "duration": duration,
         "estimator": {"family": Family(family).value, "gamma": gamma,
                       "beta": beta, "delay": delay_T},

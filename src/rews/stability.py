@@ -4,8 +4,10 @@ The loop is a Lur'e interconnection: the linear correction dynamics
 ``G(s) = (gamma*s + beta)/s^2 * exp(-s*T)`` in negative feedback with
 the sector-bounded torque nonlinearity.  Convergence is certified when
 the Nyquist locus of G stays outside the disk whose real-axis diameter
-runs from -1/k1 to -1/k2; numerically this is checked as a minimum
-distance from the disk center exceeding its radius on one fixed grid.
+runs from -1/k1 to -1/k2.  ``certify`` is the one judge of a locus: a
+minimum distance from the disk center exceeding its radius on one fixed
+grid.  No function takes a grid: ``frequency_response`` always evaluates G
+on ``default_omega_grid()``.
 Past its ends the disk's moduli ``[1/k2, 1/k1]`` and the strictly falling
 ``|G(jw)|^2 = gamma^2/w^2 + beta^2/w^4`` prove the locus outside the disk
 when ``|G| > 1/k1`` at the first point and ``|G| < 1/k2`` at the last.
@@ -36,7 +38,6 @@ __all__ = [
     "circle_from_gains",
     "frequency_response",
     "default_omega_grid",
-    "distance_criterion",
     "certify",
     "max_stable_beta",
     "max_stable_delay",
@@ -71,7 +72,7 @@ class CircleSpec:
 
 @dataclass(frozen=True)
 class FrequencyResponse:
-    omega_grid: np.ndarray   # rad/s, strictly increasing, all positive
+    omega_grid: np.ndarray   # rad/s, always default_omega_grid()
     g_values: np.ndarray     # complex G(j omega)
 
 
@@ -105,19 +106,14 @@ def default_omega_grid() -> np.ndarray:
     return np.logspace(-3.0, 3.0, 4000)
 
 
-def frequency_response(gamma: float, beta: float, delay_T: float,
-                       omega_grid) -> FrequencyResponse:
-    """Evaluate G(j w) = (gamma j w + beta)/(j w)^2 * exp(-j w T).
+def frequency_response(gamma: float, beta: float,
+                       delay_T: float) -> FrequencyResponse:
+    """Evaluate G(j w) = (gamma j w + beta)/(j w)^2 * exp(-j w T) on the
+    default grid.
 
     Raises ConfigError when the locus overflows or when ``w*T`` reaches
     2**52 on the grid (the delay phase would be all rounding)."""
-    omega = np.asarray(omega_grid, dtype=float)
-    if omega.ndim != 1 or omega.size == 0:
-        raise ConfigError("frequency grid must be a non-empty 1-D array")
-    if np.any(omega <= 0):
-        raise ConfigError("frequency grid must be strictly positive (double pole at 0)")
-    if np.any(np.diff(omega) <= 0):
-        raise ConfigError("frequency grid must be strictly increasing")
+    omega = default_omega_grid()
     if omega[-1] * delay_T >= 2.0 ** 52:
         raise ConfigError(f"delay {delay_T!r} is too long: omega*delay reaches "
                           f"2**52 on the grid, where its phase has no fractional bits")
@@ -130,13 +126,17 @@ def frequency_response(gamma: float, beta: float, delay_T: float,
     return FrequencyResponse(omega_grid=omega, g_values=g)
 
 
-def distance_criterion(fr: FrequencyResponse,
-                       circle: CircleSpec) -> DistanceVerdict:
+def certify(gamma: float, beta: float, delay_T: float,
+            circle: CircleSpec) -> DistanceVerdict:
     """Minimum distance of the locus from the disk center versus its radius.
 
-    Raises :class:`GridCoverageError` naming the grid end whose ``|G|``
-    does not prove the tail beyond it outside the disk (module docstring).
+    Gains no estimator can have raise ConfigError (rules of
+    ``check_gains``); a grid end whose ``|G|`` does not prove the tail
+    beyond it outside the disk (module docstring) raises
+    :class:`GridCoverageError` naming that end.
     """
+    check_gains(gamma, beta, delay_T)
+    fr = frequency_response(gamma, beta, delay_T)
     g_low, g_high = np.abs(fr.g_values[[0, -1]]).tolist()
     if not g_low > 1.0 / circle.k1:
         raise GridCoverageError(
@@ -159,15 +159,6 @@ def distance_criterion(fr: FrequencyResponse,
     )
 
 
-def certify(gamma: float, beta: float, delay_T: float,
-            circle: CircleSpec) -> DistanceVerdict:
-    """Distance criterion on the default grid.  Gains no estimator can have
-    raise ConfigError (rules of ``check_gains``)."""
-    check_gains(gamma, beta, delay_T)
-    return distance_criterion(
-        frequency_response(gamma, beta, delay_T, default_omega_grid()), circle)
-
-
 def _first_crossing(entry, predicate, what: str) -> float:
     """Least positive ``entry``, backed off 0, 1, 3, 7, ... ulps until certified."""
     if not predicate(0.0):
@@ -187,9 +178,8 @@ def max_stable_beta(gamma: float, delay_T: float, circle: CircleSpec) -> float:
     ``G = A + beta*B``, a frequency enters the disk at the smaller positive
     root of ``|G - C|^2 = R^2``.  Refusals as in the module docstring."""
     check_gains(gamma, 0.0, delay_T)
-    grid = default_omega_grid()
-    b = frequency_response(0.0, 1.0, delay_T, grid).g_values
-    d = frequency_response(gamma, 0.0, delay_T, grid).g_values - circle.center
+    b = frequency_response(0.0, 1.0, delay_T).g_values
+    d = frequency_response(gamma, 0.0, delay_T).g_values - circle.center
     with np.errstate(over="ignore", invalid="ignore"):
         qb = 2.0 * (d * b.conj()).real
         qc = np.abs(d) ** 2 - circle.radius ** 2
@@ -203,11 +193,11 @@ def max_stable_delay(gamma: float, beta: float, circle: CircleSpec) -> float:
     ``G0 = G(jw)|T=0`` by ``-w*T``, and a frequency is in the disk while its
     phase is in ``[a, 2pi - a]``.  Refusals as in the module docstring."""
     check_gains(gamma, beta, 0.0)
-    grid = default_omega_grid()
-    g0 = frequency_response(gamma, beta, 0.0, grid).g_values
+    fr = frequency_response(gamma, beta, 0.0)
+    g0 = fr.g_values
     r, c_abs = np.abs(g0), -circle.center
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = np.arccos((circle.radius ** 2 - r * r - c_abs ** 2) / (2.0 * r * c_abs))
-    entry = np.mod(np.angle(g0) + a, 2.0 * np.pi) / grid
+    entry = np.mod(np.angle(g0) + a, 2.0 * np.pi) / fr.omega_grid
     return _first_crossing(
         entry, lambda x: certify(gamma, beta, x, circle).certified, "delay")

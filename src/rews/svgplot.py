@@ -45,6 +45,8 @@ def _ticks(lo, hi, n=6):
     t = first
     while t <= hi + 1e-12 * span:
         ticks.append(round(t, 12))
+        if t + step == t:  # step under half an ulp of t: t would never move
+            break
         t += step
     return ticks
 

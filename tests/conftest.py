@@ -52,6 +52,13 @@ def iandi_reference(trace):
     return np.array(out)
 
 
+def locus(gamma, beta, delay, omega):
+    """The closed-form Nyquist locus ``(gamma jw + beta)/(jw)^2 e^{-jwT}`` at
+    the frequencies ``omega``: the oracle for ``stability.certify``'s locus."""
+    jw = 1j * np.asarray(omega, dtype=float)
+    return (gamma * jw + beta) / (jw * jw) * np.exp(-jw * delay)
+
+
 def over(query, curve, lam):
     """``query(curve, x)`` at every element ``x`` of the array ``lam``, in
     order, so an envelope error names the first ratio outside."""

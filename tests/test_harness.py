@@ -61,6 +61,8 @@ class TestScenarioValidation:
                 controller_gain=scn.controller_gain, estimator=scn.estimator,
                 initial_omega_r=scn.initial_omega_r,
                 initial_u_guess=scn.initial_u_guess)
+        with pytest.raises(ConfigError, match="at least one"):
+            make_step_wind_scenario(40.0, 10.0, 0.0, wind_profile=[])
 
     def test_first_segment_must_start_at_zero(self):
         with pytest.raises(ConfigError, match="t = 0"):

@@ -9,8 +9,10 @@ from rews.exceptions import ConfigError, GridCoverageError
 from rews.harness import case_study_circle, emit
 from rews.stability import (CircleSpec, DistanceVerdict, certify,
                             circle_from_gains, default_omega_grid,
-                            distance_criterion, frequency_response,
-                            max_stable_beta, max_stable_delay)
+                            frequency_response, max_stable_beta,
+                            max_stable_delay)
+
+from conftest import locus
 
 
 class TestCircleGeometry:
@@ -56,33 +58,23 @@ class TestCircleGeometry:
 class TestFrequencyResponse:
     def test_pure_double_integrator_with_proportional_numerator(self):
         # beta = 0, T = 0: G(jw) = gamma/(jw), purely imaginary, modulus gamma/w.
-        omega = np.array([0.5, 1.0, 2.0, 4.0])
-        fr = frequency_response(40.0, 0.0, 0.0, omega)
+        fr = frequency_response(40.0, 0.0, 0.0)
         assert np.allclose(fr.g_values.real, 0.0, atol=1e-12)
-        assert np.allclose(np.abs(fr.g_values), 40.0 / omega, rtol=1e-12)
+        assert np.allclose(np.abs(fr.g_values), 40.0 / fr.omega_grid, rtol=1e-12)
 
     def test_modulus_formula(self):
         gamma, beta = 40.0, 10.0
-        omega = np.logspace(-1, 1, 50)
-        fr = frequency_response(gamma, beta, 0.7, omega)
+        fr = frequency_response(gamma, beta, 0.7)
+        omega = fr.omega_grid
         expected = np.sqrt((gamma * omega) ** 2 + beta ** 2) / omega ** 2
         assert np.allclose(np.abs(fr.g_values), expected, rtol=1e-12)
 
     def test_delay_is_a_pure_rotation(self):
-        omega = np.logspace(-1, 1, 50)
-        base = frequency_response(40.0, 10.0, 0.0, omega)
-        delayed = frequency_response(40.0, 10.0, 0.3, omega)
+        base = frequency_response(40.0, 10.0, 0.0)
+        delayed = frequency_response(40.0, 10.0, 0.3)
         assert np.allclose(delayed.g_values,
-                           base.g_values * np.exp(-1j * omega * 0.3),
+                           base.g_values * np.exp(-1j * base.omega_grid * 0.3),
                            rtol=1e-12)
-
-    def test_grid_validation(self):
-        with pytest.raises(ConfigError):
-            frequency_response(40.0, 10.0, 0.0, np.array([0.0, 1.0]))
-        with pytest.raises(ConfigError):
-            frequency_response(40.0, 10.0, 0.0, np.array([2.0, 1.0]))
-        with pytest.raises(ConfigError):
-            frequency_response(40.0, 10.0, 0.0, np.array([]))
 
 
 CASE_CONFIGS = {
@@ -136,13 +128,6 @@ class TestVerdicts:
         with pytest.raises(ConfigError, match="beta"):
             max_stable_delay(40.0, -1.0, circle)
 
-    def test_short_grid_cannot_prove_its_high_tail(self):
-        circle = case_study_circle()
-        grid = np.logspace(-3.0, -2.0, 100)  # locus still huge at both edges
-        fr = frequency_response(40.0, 10.0, 0.3, grid)
-        with pytest.raises(GridCoverageError, match="above 0.01 rad/s"):
-            distance_criterion(fr, circle)
-
     @pytest.mark.parametrize("gamma, beta, delay, message", [
         # A tiny proportional gain: the locus is inside the disk's moduli
         # already at the grid's first point.
@@ -167,7 +152,6 @@ class TestVerdicts:
         rng = np.random.default_rng(34)
         w = np.concatenate([np.logspace(-9.0, -3.0, 50_000, endpoint=False),
                             np.logspace(9.0, 3.0, 50_000, endpoint=False)])
-        inv_w, inv_w2 = 1.0 / w, 1.0 / (w * w)
         ends, judged = [], 0
         for k1, k2 in ((0.016, 0.095), (0.0009, 0.0331), (0.0057, 0.0294)):
             circle = circle_from_gains(k1, k2)
@@ -183,34 +167,57 @@ class TestVerdicts:
                         ends.append(str(exc).split()[9])  # "below" or "above"
                         continue
                     judged += 1
-                    # G(jw) = -(beta/w^2 + j gamma/w) (cos wT - j sin wT)
-                    re0, im0 = -beta * inv_w2, -gamma * inv_w
-                    cos, sin = np.cos(w * delay), np.sin(w * delay)
-                    re, im = re0 * cos + im0 * sin, im0 * cos - re0 * sin
-                    assert ((re - circle.center) ** 2 + im * im).min() > circle.radius ** 2
+                    g = locus(gamma, beta, delay, w)
+                    assert np.abs(g - circle.center).min() > circle.radius
         assert judged >= 40 and set(ends) == {"below", "above"}
+
+    def test_judged_locus_is_the_closed_form_on_the_default_grid(self):
+        # certify evaluates, then judges, the closed-form locus on the one
+        # grid: its locus, distance and frequency match the oracle bit for
+        # bit.
+        rng = np.random.default_rng(35)
+        w = default_omega_grid()
+        judged = 0
+        for k1, k2 in ((0.016, 0.095), (0.0009, 0.0331), (0.0057, 0.0294)):
+            circle = circle_from_gains(k1, k2)
+            for _ in range(30):
+                gamma, beta = 10.0 ** rng.uniform(0.0, 3.0), rng.uniform(0.0, 200.0)
+                delay = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 2.0)
+                try:
+                    verdict = certify(gamma, beta, delay, circle)
+                except GridCoverageError:
+                    continue
+                judged += 1
+                g = locus(gamma, beta, delay, w)
+                dist = np.abs(g - circle.center)
+                assert np.array_equal(verdict.locus.omega_grid, w)
+                assert verdict.locus.g_values.tobytes() == g.tobytes()
+                assert verdict.min_distance == dist.min()
+                assert verdict.argmin_omega == w[np.argmin(dist)]
+                assert verdict.certified is bool(dist.min() > circle.radius)
+        assert judged >= 60
 
     def test_grid_refinement_stability(self):
         # Doubling the frequency resolution moves the reported minimum
-        # distance by less than 0.1%.
+        # distance by less than 0.1%, for every case configuration.
         circle = case_study_circle()
-        coarse, fine = (
-            distance_criterion(frequency_response(
-                40.0, 10.0, 0.3, np.logspace(-3.0, 3.0, n)), circle)
-            for n in (4000, 8000))
-        assert abs(fine.min_distance - coarse.min_distance) <= 1e-3 * coarse.min_distance
+        fine_grid = np.logspace(-3.0, 3.0, 8000)
+        for gamma, beta, delay, _ in CASE_CONFIGS.values():
+            coarse = certify(gamma, beta, delay, circle).min_distance
+            fine = np.abs(locus(gamma, beta, delay, fine_grid)
+                          - circle.center).min()
+            assert abs(fine - coarse) <= 1e-3 * coarse
 
     def test_scaling_consistency_with_unit_circle(self):
         # Dividing the locus by alpha maps the disk center to -1; the
         # certificate must be invariant under that normalization.
         circle = case_study_circle()
         rng = np.random.default_rng(42)
-        grid = default_omega_grid()
         for _ in range(50):
             gamma = rng.uniform(20.0, 120.0)
             beta = rng.uniform(0.0, 20.0)
             delay = 0.01 * rng.integers(0, 40)
-            fr = frequency_response(gamma, beta, delay, grid)
+            fr = frequency_response(gamma, beta, delay)
             dist = np.abs(fr.g_values - circle.center)
             scaled = np.abs(fr.g_values / circle.alpha - (-1.0))
             direct = bool(np.min(dist) > circle.radius)
@@ -306,7 +313,7 @@ class TestExports:
         circle = case_study_circle()
         emit([(tmp_path, None, certify(40.0, 10.0, 0.3, circle))])
         data = np.loadtxt(tmp_path / "nyquist.csv", delimiter=",", skiprows=1)
-        fr = frequency_response(40.0, 10.0, 0.3, default_omega_grid())
+        fr = frequency_response(40.0, 10.0, 0.3)
         assert np.array_equal(data[:, 0], fr.omega_grid)
         assert np.array_equal(data[:, 1], fr.g_values.real)
         assert np.array_equal(data[:, 2], fr.g_values.imag)

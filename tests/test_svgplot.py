@@ -98,6 +98,14 @@ class TestLineChart:
         assert_m4(points, _scalar_points(canvas, x, y),
                   np.floor(canvas.px(x[finite])))
 
+    def test_one_ulp_span_is_charted(self, tmp_path):
+        # A tick step under half an ulp of the axis values does not move
+        # the tick: the chart ends with one tick instead of growing forever.
+        path = tmp_path / "a.svg"
+        svgplot.line_chart(path, [0.0, 1.0], [("y", [6.0, np.nextafter(6.0, 7.0)])])
+        (points,) = _polylines(path)
+        assert len(points.split()) == 2
+
     def test_short_or_unsorted_series_are_drawn_point_for_point(self, tmp_path):
         # 2,400 finite points is 4 per plot column: not reduced.
         x, y = _gappy_series(n=2_600)
